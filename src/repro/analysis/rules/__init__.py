@@ -11,8 +11,12 @@ from repro.analysis.rules.ackbarrier import AckBeforeBarrier
 from repro.analysis.rules.asyncsafety import BlockingCallInAsync
 from repro.analysis.rules.concurrency import (
     NondeterministicPartitioning,
-    UnsanctionedPoolSpawn,
     UnserialisedIndexMutation,
+)
+from repro.analysis.rules.confined import (
+    JOURNAL_WRITE_OUTSIDE_LOG,
+    SHARD_FANOUT_OUTSIDE_ROUTER,
+    UNSANCTIONED_POOL_SPAWN,
 )
 from repro.analysis.rules.deadlines import UndisciplinedDial
 from repro.analysis.rules.durability import UnfsyncedDurableWrite
@@ -24,8 +28,6 @@ from repro.analysis.rules.estimates import EstimateSoundness
 from repro.analysis.rules.interleaving import AwaitInterleavingRace
 from repro.analysis.rules.lifecycle import UnreleasedPoolOrShm
 from repro.analysis.rules.loadsafety import UnboundedAwaitInService
-from repro.analysis.rules.replication import JournalWriteOutsideLog
-from repro.analysis.rules.sharding import ShardFanoutOutsideRouter
 
 #: One instance per rule, in id order.
 ALL_RULES: list[Rule] = [
@@ -36,9 +38,9 @@ ALL_RULES: list[Rule] = [
     NondeterministicPartitioning(),
     SwallowedException(),
     EstimateSoundness(),
-    JournalWriteOutsideLog(),
-    UnsanctionedPoolSpawn(),
-    ShardFanoutOutsideRouter(),
+    JOURNAL_WRITE_OUTSIDE_LOG,
+    UNSANCTIONED_POOL_SPAWN,
+    SHARD_FANOUT_OUTSIDE_ROUTER,
     UnboundedAwaitInService(),
     AwaitInterleavingRace(),
     AckBeforeBarrier(),

@@ -1,4 +1,4 @@
-"""RPR004/RPR005/RPR009 — event-loop serialisation and worker determinism.
+"""RPR004/RPR005 — event-loop serialisation and worker determinism.
 
 **RPR004** guards the serving layer's lock-free concurrency model
 (``service/handlers.py`` docstring): all shared-index mutation happens
@@ -20,15 +20,6 @@ build worker partitions or merge order breaks it silently — Python set
 order varies across processes with hash randomisation.  The rule flags
 ``for``/comprehension iteration directly over set expressions in
 partitioning modules; wrap them in ``sorted(...)``.
-
-**RPR009** guards the persistent-pool discipline (``core/pool.py``
-docstring): spawning a ``ProcessPoolExecutor`` (or a raw
-``multiprocessing`` ``Pool``) per call is exactly the overhead pattern
-that made parallel mining lose wall-clock to serial, and ad-hoc
-executors also dodge the pool registry's crash handling and
-atexit/shared-memory cleanup.  The rule flags any such constructor call
-in ``core/`` outside the sanctioned ``core/pool.py`` module — route the
-work through :class:`repro.core.pool.WorkerPool` instead.
 """
 
 from __future__ import annotations
@@ -151,38 +142,3 @@ class NondeterministicPartitioning(Rule):
             "set",
             "frozenset",
         )
-
-
-#: Constructors that spawn worker processes; only core/pool.py may call
-#: them inside core/.
-_POOL_SPAWNERS = {"ProcessPoolExecutor", "Pool"}
-
-
-class UnsanctionedPoolSpawn(Rule):
-    id = "RPR009"
-    name = "unsanctioned-pool-spawn"
-    severity = "error"
-    rationale = (
-        "per-call executor spawns repay the pool-startup tax that made "
-        "parallel mining lose wall-clock, and bypass WorkerPool's crash "
-        "handling and shared-memory cleanup"
-    )
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        path = ctx.rel_path
-        return "core/" in path and not path.endswith("core/pool.py")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and call_name(node) in _POOL_SPAWNERS
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{call_name(node)}(...) spawned outside core/pool.py; "
-                    f"core code must reuse repro.core.pool.WorkerPool so "
-                    f"pools persist across calls and crashes tear down "
-                    f"shared memory",
-                )

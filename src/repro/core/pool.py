@@ -30,6 +30,7 @@ import atexit
 import os
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 from typing import Any, Callable
 
 from repro.errors import ParallelExecutionError, ReproError
@@ -39,6 +40,9 @@ START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
 
 #: Every WorkerPool not yet closed, for shutdown_pools()/atexit.
 _LIVE_POOLS: list["WorkerPool"] = []
+
+#: Bound on joining an executor's manager thread when a pool closes.
+CLOSE_JOIN_S = 5.0
 
 
 def mp_context():
@@ -88,15 +92,24 @@ class WorkerPool:
                 "was shut down); create a new pool"
             )
         try:
+            if self._worker_died():
+                # The executor notices a death asynchronously; check the
+                # sentinels first so a survivor cannot absorb the tasks.
+                raise BrokenProcessPool("a worker process has exited")
             return self._executor.submit(fn, *args)
         except BrokenProcessPool as exc:
-            # A worker died between tasks (e.g. kill -9 while idle); the
-            # executor notices asynchronously and rejects the submit.
+            # A worker died between tasks (e.g. kill -9 while idle).
             self.close()
             raise ParallelExecutionError(
                 "a parallel worker process died while the pool was idle; "
                 "the worker pool was torn down"
             ) from exc
+
+    def _worker_died(self) -> bool:
+        """Has any worker process exited?  (Non-blocking sentinel poll.)"""
+        processes = getattr(self._executor, "_processes", None) or {}
+        sentinels = [process.sentinel for process in processes.values()]
+        return bool(sentinels) and bool(wait(sentinels, timeout=0))
 
     def worker_pids(self) -> list[int]:
         """PIDs of the live worker processes (empty before first task)."""
@@ -121,6 +134,10 @@ class WorkerPool:
         try:
             for future in as_completed(futures):
                 payloads[futures[future]] = future.result()
+            if self._worker_died():
+                # The survivors finished every task, but the pool is
+                # broken all the same.
+                raise BrokenProcessPool("a worker process has exited")
         except BrokenProcessPool as exc:
             self.close()
             raise ParallelExecutionError(
@@ -139,12 +156,23 @@ class WorkerPool:
         return payloads
 
     def close(self) -> None:
-        """Shut the executor down and run close hooks; idempotent."""
+        """Shut the executor and its workers down, run close hooks; idempotent."""
         if self.closed:
             return
         self.closed = True
+        executor = self._executor
+        processes = list((getattr(executor, "_processes", None) or {}).values())
+        manager = getattr(executor, "_executor_manager_thread", None)
         try:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=False, cancel_futures=True)
+            # After a failed task the manager thread can keep waiting on
+            # a work item whose future already finished, and the
+            # interpreter's exit hook joins it forever.  Stopping the
+            # workers makes it see a broken pool and exit.
+            for process in processes:
+                process.terminate()  # a no-op once the process was reaped
+            if manager is not None:
+                manager.join(timeout=CLOSE_JOIN_S)
         finally:
             if self in _LIVE_POOLS:
                 _LIVE_POOLS.remove(self)

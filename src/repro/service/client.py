@@ -10,6 +10,10 @@ other client.
 Error frames surface as :class:`~repro.errors.ServiceError` with the
 wire-level ``error_type`` preserved, so callers can distinguish a
 malformed request from an overloaded or draining server.
+
+The operation methods (``count`` ... ``shutdown``) live once, in
+:class:`ServiceOps`, and are shared with
+:class:`~repro.service.resilience.RetryingClient`.
 """
 
 from __future__ import annotations
@@ -17,121 +21,39 @@ from __future__ import annotations
 import socket
 import time
 
-from repro.errors import (
-    DegradedError,
-    OverloadedError,
-    PartialResultError,
-    ServiceError,
-    ServiceProtocolError,
-    ServiceTimeoutError,
+from repro.errors import ServiceError, ServiceTimeoutError
+from repro.service.protocol import (
+    decode_response,
+    read_frame_sock,
+    request_frame,
+    write_frame_sock,
 )
-from repro.service.protocol import read_frame_sock, write_frame_sock
 
 DEFAULT_TIMEOUT_S = 30.0
 
 
-class ServiceClient:
-    """Blocking request/response client over one TCP connection."""
+class ServiceOps:
+    """The wire operations as methods, written once for every client.
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        timeout: float = DEFAULT_TIMEOUT_S,
-        connect_timeout: float | None = None,
-        deadline_ms: float | None = None,
-    ):
-        self.host = host
-        self.port = port
-        #: When set, every request is stamped with this remaining-budget
-        #: deadline (per request, in milliseconds) unless the call
-        #: passes its own.  The server refuses expired work unstarted
-        #: and cancels work that outlives the budget.
-        self.deadline_ms = deadline_ms
-        self._next_id = 1
-        try:
-            self._sock = socket.create_connection(
-                (host, port),
-                timeout=connect_timeout if connect_timeout is not None else timeout,
-            )
-        except socket.timeout as exc:
-            raise ServiceTimeoutError(
-                f"timed out connecting to {host}:{port}"
-            ) from exc
-        self._sock.settimeout(timeout)
+    Each method builds one op's arguments and hands them to the
+    subclass's ``request(op, args)``; :meth:`_append_token` lets the
+    retrying client mint an idempotency token when the caller gives none.
+    """
 
-    def settimeout(self, timeout: float | None) -> None:
-        """Adjust the per-socket-operation timeout on the live connection."""
-        if self._sock is not None:
-            self._sock.settimeout(timeout)
-
-    # -- lifecycle -----------------------------------------------------------
+    def request(self, op: str, args: dict | None = None) -> dict:
+        raise NotImplementedError
 
     def close(self) -> None:
-        """Close the connection (idempotent)."""
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
+        raise NotImplementedError
 
-    def __enter__(self) -> "ServiceClient":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- the request core ------------------------------------------------------
-
-    def request(
-        self,
-        op: str,
-        args: dict | None = None,
-        *,
-        deadline_ms: float | None = None,
-    ) -> dict:
-        """Send one request and return the ``result`` payload.
-
-        ``deadline_ms`` stamps the frame with the caller's remaining
-        budget (falling back to the client-wide :attr:`deadline_ms`);
-        the server — and, through a router, every shard — enforces it.
-
-        Raises :class:`ServiceError` for error frames and
-        :class:`ServiceProtocolError` for wire-level violations.
-        """
-        if self._sock is None:
-            raise ServiceError("client is closed", error_type="protocol")
-        request_id = self._next_id
-        self._next_id += 1
-        frame: dict = {"id": request_id, "op": op, "args": args or {}}
-        budget = deadline_ms if deadline_ms is not None else self.deadline_ms
-        if budget is not None:
-            frame["deadline_ms"] = budget
-        write_frame_sock(self._sock, frame)
-        payload = read_frame_sock(self._sock)
-        frame_id = payload.get("id")
-        if frame_id not in (request_id, -1):
-            raise ServiceProtocolError(
-                f"response id {frame_id!r} does not match request {request_id}"
-            )
-        if payload.get("ok"):
-            result = payload.get("result")
-            if not isinstance(result, dict):
-                raise ServiceProtocolError("success frame carries no result object")
-            return result
-        error = payload.get("error") or {}
-        message = error.get("message", "unspecified server error")
-        error_type = error.get("type", "internal")
-        if error_type == "degraded":
-            raise DegradedError(message)
-        if error_type == "partial":
-            raise PartialResultError(message)
-        if error_type == "overloaded":
-            raise OverloadedError(message, retry_after=error.get("retry_after"))
-        raise ServiceError(message, error_type=error_type)
-
-    # -- operations ------------------------------------------------------------
+    def _append_token(self, token: int | None) -> int | None:
+        return token
 
     def count(self, items, *, exact: bool = False) -> dict:
         """Estimated (and optionally exact) support of ``items``."""
@@ -156,6 +78,7 @@ class ServiceClient:
         (the duplicate is answered with ``deduped: true``).
         """
         args: dict = {"items": list(items)}
+        token = self._append_token(token)
         if token is not None:
             args["token"] = token
         return self.request("append", args)
@@ -195,7 +118,7 @@ class ServiceClient:
         """Poll until the job leaves pending/running; return the final poll.
 
         Raises :class:`ServiceError` if the job errored or was
-        cancelled, and on timeout.
+        cancelled, and :class:`ServiceTimeoutError` on timeout.
         """
         deadline = time.monotonic() + timeout
         while True:
@@ -210,9 +133,8 @@ class ServiceClient:
                     error_type="query",
                 )
             if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} still {state} after {timeout}s",
-                    error_type="timeout",
+                raise ServiceTimeoutError(
+                    f"job {job_id} still {state} after {timeout}s"
                 )
             time.sleep(poll_interval)
 
@@ -277,3 +199,78 @@ class ServiceClient:
     def shutdown(self) -> dict:
         """Ask the server to drain gracefully (same path as SIGTERM)."""
         return self.request("shutdown")
+
+
+class ServiceClient(ServiceOps):
+    """Blocking request/response client over one TCP connection."""
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        timeout: float = DEFAULT_TIMEOUT_S,
+        connect_timeout: float | None = None,
+        deadline_ms: float | None = None,
+    ):
+        self.host = host
+        self.port = port
+        #: When set, every request is stamped with this remaining-budget
+        #: deadline (per request, in milliseconds) unless the call
+        #: passes its own.  The server refuses expired work unstarted
+        #: and cancels work that outlives the budget.
+        self.deadline_ms = deadline_ms
+        self._next_id = 1
+        try:
+            self._sock = socket.create_connection(
+                (host, port),
+                timeout=connect_timeout if connect_timeout is not None else timeout,
+            )
+        except socket.timeout as exc:
+            raise ServiceTimeoutError(
+                f"timed out connecting to {host}:{port}"
+            ) from exc
+        self._sock.settimeout(timeout)
+
+    def settimeout(self, timeout: float | None) -> None:
+        """Adjust the per-socket-operation timeout on the live connection."""
+        if self._sock is not None:
+            self._sock.settimeout(timeout)
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the connection (idempotent)."""
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            finally:
+                self._sock = None
+
+    # -- the request core ------------------------------------------------------
+
+    def request(
+        self,
+        op: str,
+        args: dict | None = None,
+        *,
+        deadline_ms: float | None = None,
+    ) -> dict:
+        """Send one request and return the ``result`` payload.
+
+        ``deadline_ms`` stamps the frame with the caller's remaining
+        budget (falling back to the client-wide :attr:`deadline_ms`);
+        the server — and, through a router, every shard — enforces it.
+
+        Raises :class:`ServiceError` for error frames and
+        :class:`ServiceProtocolError` for wire-level violations.
+        """
+        if self._sock is None:
+            raise ServiceError("client is closed", error_type="protocol")
+        request_id = self._next_id
+        self._next_id += 1
+        budget = deadline_ms if deadline_ms is not None else self.deadline_ms
+        write_frame_sock(
+            self._sock, request_frame(request_id, op, args or {}, budget)
+        )
+        return decode_response(read_frame_sock(self._sock), request_id)

@@ -108,7 +108,7 @@ class LatencyHistogram:
 
 @dataclass
 class MineJob:
-    """One background mining job and its lifecycle state."""
+    """One background mining job (a node's or a router's) and its state."""
 
     id: str
     params: dict
@@ -124,7 +124,20 @@ class MineJob:
     #: True for brownout answers (cached or approximate) so clients can
     #: tell a degraded-under-load result from a full mine.
     degraded: bool = False
+    #: The node's executor future, or the router's asyncio task.
     future: object = field(default=None, repr=False)
+
+    def finish(
+        self, started: float, result=None, error: str | None = None
+    ) -> None:
+        """Settle the job; a cancel request wins, the state is set last."""
+        self.elapsed_seconds = time.perf_counter() - started
+        if self.cancel_requested:
+            self.state = "cancelled"
+        elif error is not None:
+            self.error, self.state = error, "error"
+        else:
+            self.result, self.state = result, "done"
 
 
 def _itemset_arg(args: dict) -> tuple:
@@ -144,7 +157,222 @@ def _itemset_arg(args: dict) -> tuple:
     return canonical_itemset(items)
 
 
-class PatternService:
+def _itemsets_arg(args: dict) -> list[tuple]:
+    """Validate and canonicalise the ``itemsets`` of a ``count_batch``."""
+    itemsets = args.get("itemsets")
+    if not isinstance(itemsets, list) or not itemsets:
+        raise ServiceError(
+            "'itemsets' must be a non-empty JSON list of itemsets",
+            error_type=ERR_BAD_REQUEST,
+        )
+    if len(itemsets) > MAX_COUNT_BATCH:
+        raise ServiceError(
+            f"'itemsets' holds {len(itemsets)} entries, over the "
+            f"{MAX_COUNT_BATCH} per-request cap; split the batch",
+            error_type=ERR_BAD_REQUEST,
+        )
+    return [_itemset_arg({"items": items}) for items in itemsets]
+
+
+def mine_params(args: dict) -> dict:
+    """Validate a ``mine`` request's arguments into job parameters."""
+    min_support = args.get("min_support")
+    if not isinstance(min_support, (int, float)) or isinstance(min_support, bool):
+        raise ServiceError(
+            "'min_support' must be a number (absolute count or fraction)",
+            error_type=ERR_BAD_REQUEST,
+        )
+    algorithm = args.get("algorithm", "dfp")
+    if algorithm not in ALGORITHMS + ("auto",):
+        raise ServiceError(
+            f"unknown algorithm {algorithm!r}", error_type=ERR_BAD_REQUEST
+        )
+    return {
+        "min_support": min_support,
+        "algorithm": algorithm,
+        "max_size": args.get("max_size"),
+        "workers": args.get("workers", 1),
+    }
+
+
+def _mine_key(params: dict) -> tuple:
+    """A mine's :class:`MineResultCache` key: what its answer depends on."""
+    return (params["min_support"], params["algorithm"], params["max_size"])
+
+
+def load_summary(overload: dict) -> dict:
+    """The ``load`` section of ``status``, from the admission snapshot."""
+    return {
+        "state": overload["brownout"]["state"],
+        "queued": {
+            name: stats["queued"] for name, stats in overload["classes"].items()
+        },
+        "sheds_total": overload["sheds_total"],
+    }
+
+
+class RequestStats:
+    """Per-op request counts and latency histograms.
+
+    What the ``requests`` and ``latency`` keys of the ``metrics`` op
+    report, on a node and on a router alike.
+    """
+
+    def __init__(self):
+        self.counts: Counter = Counter()
+        self.histograms: dict[str, LatencyHistogram] = {}
+
+    def record(self, op: str, seconds: float) -> None:
+        histogram = self.histograms.get(op)
+        if histogram is None:
+            histogram = self.histograms[op] = LatencyHistogram()
+        histogram.record(seconds)
+        self.counts[op] += 1
+
+    def latency(self) -> dict:
+        return {
+            op: histogram.as_dict()
+            for op, histogram in sorted(self.histograms.items())
+        }
+
+
+class JobRegistry(dict):
+    """Submitted mining jobs by id, as a node and a router keep them.
+
+    Finished jobs stay pollable until more than
+    :data:`MAX_RETAINED_JOBS` are held, oldest evicted first.  ``stop``
+    is the owner's way of cancelling one pending or running job.
+    """
+
+    def __init__(self, prefix: str, stop):
+        super().__init__()
+        self._ids = itertools.count(1)
+        self._prefix = prefix
+        self._stop = stop
+
+    def new_id(self) -> str:
+        return f"{self._prefix}-{next(self._ids)}"
+
+    def add(self, job: MineJob) -> None:
+        self[job.id] = job
+        finished = [
+            job_id for job_id, held in self.items()
+            if held.state in ("done", "error", "cancelled")
+        ]
+        for job_id in finished[: max(0, len(self) - MAX_RETAINED_JOBS)]:
+            del self[job_id]
+
+    def find(self, args: dict) -> MineJob:
+        """The job named by ``args["job_id"]``; a typed error if unknown."""
+        job_id = args.get("job_id")
+        job = self.get(job_id) if isinstance(job_id, str) else None
+        if job is None:
+            raise ServiceError(
+                f"unknown job id {job_id!r}", error_type=ERR_QUERY
+            )
+        return job
+
+    def states(self) -> dict:
+        """Job counts by state (the ``jobs`` key of ``status``)."""
+        return dict(Counter(job.state for job in self.values()))
+
+    def poll(self, args: dict, *, epoch: int, serialise) -> dict:
+        """The ``job`` op: one job's state, and its result once done.
+
+        ``serialise(result, top)`` renders the result; the poll is
+        ``stale`` when ``epoch`` moved on since submission.
+        """
+        job = self.find(args)
+        payload = {
+            "job_id": job.id,
+            "state": job.state,
+            "params": job.params,
+            "epoch": job.submitted_epoch,
+            "elapsed_seconds": job.elapsed_seconds,
+        }
+        if job.degraded:
+            payload["degraded_load"] = True
+        if job.state == "error":
+            payload["error"] = job.error
+        if job.state == "done":
+            payload["result"] = serialise(job.result, args.get("top", 0))
+            payload["stale"] = job.submitted_epoch != epoch
+        return payload
+
+    def cancel(self, args: dict) -> dict:
+        """The ``cancel`` op: stop the job if it has not settled yet."""
+        job = self.find(args)
+        if job.state in ("pending", "running"):
+            self._stop(job)
+        return {
+            "job_id": job.id,
+            "state": job.state,
+            "cancel_requested": job.cancel_requested,
+        }
+
+
+class OpService:
+    """The op plumbing a node and a router share.
+
+    ``handle`` (op lookup and per-op :class:`RequestStats`), the
+    :class:`JobRegistry`, and the ``cancel`` and ``shutdown`` ops.
+    Subclasses define ``_OPS`` (op name to handler) and ``_stop_job``,
+    and bind ``handle = OpService.handle`` on themselves: perfbench's
+    span tracer wraps each serving class's own ``handle``.
+    """
+
+    _OPS: dict
+
+    def __init__(self, job_prefix: str):
+        self.stats = RequestStats()
+        self.request_counts = self.stats.counts
+        self._jobs = JobRegistry(job_prefix, self._stop_job)
+        #: Set by the server (PatternServer.__init__): the
+        #: :class:`AdmissionController` guarding this service's front
+        #: door.  ``None`` when the service runs without a server (tests).
+        self.admission = None
+        #: Set by the server so the ``shutdown`` op can trigger a drain.
+        self.shutdown_callback = None
+        self.started_monotonic = time.monotonic()
+        self.last_request_monotonic = self.started_monotonic
+
+    async def handle(self, op: str, args: dict, deadline=None) -> dict:
+        """Run one operation; raises :class:`ServiceError` on bad input.
+
+        ``deadline`` is the caller's propagated
+        :class:`~repro.service.protocol.Deadline`, if any.  The server
+        already bounds the whole dispatch with it and publishes it via
+        ``CURRENT_DEADLINE`` for downstream hops, such as a router's
+        shard links.
+        """
+        handler = self._handler(op)
+        self.last_request_monotonic = time.monotonic()
+        started = time.perf_counter()
+        try:
+            return await handler(self, args)
+        finally:
+            self.stats.record(op, time.perf_counter() - started)
+
+    def _handler(self, op: str):
+        handler = self._OPS.get(op)
+        if handler is None:
+            raise ServiceError(
+                f"unknown op {op!r}; expected one of {sorted(self._OPS)}",
+                error_type=ERR_BAD_REQUEST,
+            )
+        return handler
+
+    async def _op_cancel(self, args: dict) -> dict:
+        return self._jobs.cancel(args)
+
+    async def _op_shutdown(self, args: dict) -> dict:
+        """Request a graceful drain (same path as SIGTERM)."""
+        if self.shutdown_callback is not None:
+            self.shutdown_callback()
+        return {"draining": True}
+
+
+class PatternService(OpService):
     """The resident serving state and its request handlers.
 
     Parameters
@@ -190,6 +418,7 @@ class PatternService:
             raise ConfigurationError(
                 "the incremental miner must wrap the served database and index"
             )
+        super().__init__("job")
         self.database = database
         self.index = index
         self.miner = miner
@@ -208,27 +437,15 @@ class PatternService:
         self.degraded_since: float | None = None
         #: Set by the server when a background scrubber is attached.
         self.scrubber = None
-        self.last_request_monotonic = time.monotonic()
         self.cache = CountCache(cache_entries)
         #: Completed mine results by parameter key — the brownout path
         #: serves from here before falling back to the approximate miner.
         self.mine_cache = MineResultCache()
-        #: Set by the server: the :class:`AdmissionController` whose
-        #: brownout flag and mine-job backlog the handlers consult.
-        #: ``None`` when the service runs without a server (tests).
-        self.admission = None
         self.batcher = MicroBatcher(index)
-        self.histograms: dict[str, LatencyHistogram] = {}
-        self.request_counts: Counter = Counter()
-        self.started_monotonic = time.monotonic()
-        self._jobs: dict[str, MineJob] = {}
-        self._job_ids = itertools.count(1)
         self._executor = ThreadPoolExecutor(
             max_workers=mine_threads, thread_name_prefix="repro-mine-job"
         )
         self._io_last = self._io_totals()
-        #: Set by the server so the ``shutdown`` op can trigger a drain.
-        self.shutdown_callback = None
         #: Set by the server when a replication tailer is attached, so
         #: the ``promote`` op can stop it before flipping the role.
         self.stop_tailer_callback = None
@@ -238,31 +455,7 @@ class PatternService:
 
     # -- dispatch ----------------------------------------------------------
 
-    async def handle(self, op: str, args: dict, deadline=None) -> dict:
-        """Run one operation; raises :class:`ServiceError` on bad input.
-
-        ``deadline`` is the caller's propagated
-        :class:`~repro.service.protocol.Deadline`, if any.  The server
-        already bounds the whole dispatch with it (and publishes it via
-        ``CURRENT_DEADLINE`` for downstream hops); it is accepted here
-        so handlers that fan work out can consult the live budget.
-        """
-        handler = self._OPS.get(op)
-        if handler is None:
-            raise ServiceError(
-                f"unknown op {op!r}; expected one of {sorted(self._OPS)}",
-                error_type=ERR_BAD_REQUEST,
-            )
-        self.last_request_monotonic = time.monotonic()
-        started = time.perf_counter()
-        try:
-            return await handler(self, args)
-        finally:
-            histogram = self.histograms.get(op)
-            if histogram is None:
-                histogram = self.histograms[op] = LatencyHistogram()
-            histogram.record(time.perf_counter() - started)
-            self.request_counts[op] += 1
+    handle = OpService.handle
 
     def close(self) -> None:
         """Stop the job executor (running jobs finish, pending are kept)."""
@@ -361,24 +554,12 @@ class PatternService:
         AND passes — a router verifying hundreds of candidates pays a
         handful of index sweeps, not one per itemset.
         """
-        itemsets = args.get("itemsets")
-        if not isinstance(itemsets, list) or not itemsets:
-            raise ServiceError(
-                "'itemsets' must be a non-empty JSON list of itemsets",
-                error_type=ERR_BAD_REQUEST,
-            )
-        if len(itemsets) > MAX_COUNT_BATCH:
-            raise ServiceError(
-                f"'itemsets' holds {len(itemsets)} entries, over the "
-                f"{MAX_COUNT_BATCH} per-request cap; split the batch",
-                error_type=ERR_BAD_REQUEST,
-            )
         want_exact = bool(args.get("exact", False))
         # Validate the whole batch before counting anything: a malformed
         # entry rejects the request instead of cancelling mid-gather.
         sub_args = [
-            {"items": list(_itemset_arg({"items": items})), "exact": want_exact}
-            for items in itemsets
+            {"items": list(key), "exact": want_exact}
+            for key in _itemsets_arg(args)
         ]
         results = await asyncio.gather(
             *(self._op_count(entry) for entry in sub_args)
@@ -838,28 +1019,10 @@ class PatternService:
         Geerts–Goethals candidate-bound cost estimate and shed typed
         when it is full.
         """
-        min_support = args.get("min_support")
-        if not isinstance(min_support, (int, float)) or isinstance(min_support, bool):
-            raise ServiceError(
-                "'min_support' must be a number (absolute count or fraction)",
-                error_type=ERR_BAD_REQUEST,
-            )
-        algorithm = args.get("algorithm", "dfp")
-        if algorithm not in ALGORITHMS + ("auto",):
-            raise ServiceError(
-                f"unknown algorithm {algorithm!r}", error_type=ERR_BAD_REQUEST
-            )
-        max_size = args.get("max_size")
-        workers = args.get("workers", 1)
-        params = {
-            "min_support": min_support,
-            "algorithm": algorithm,
-            "max_size": max_size,
-            "workers": workers,
-        }
+        params = mine_params(args)
         if self.admission is not None and self.admission.browned_out:
             return self._submit_degraded_mine(params)
-        cost = self.mine_cost_units(min_support, max_size)
+        cost = self.mine_cost_units(params["min_support"], params["max_size"])
         if self.admission is not None:
             # Raises a typed OverloadedError (with retry_after) when the
             # backlog is full — before any snapshot is taken.
@@ -867,7 +1030,7 @@ class PatternService:
         # Snapshot synchronously: no await between here and submit, so
         # the copies are consistent with each other and with the epoch.
         job = MineJob(
-            id=f"job-{next(self._job_ids)}",
+            id=self._jobs.new_id(),
             params=params,
             submitted_epoch=self.index.epoch,
             submitted_at=time.monotonic(),
@@ -875,8 +1038,7 @@ class PatternService:
         )
         db_snapshot = TransactionDatabase(iter(self.database))
         index_snapshot = self._index_snapshot()
-        self._jobs[job.id] = job
-        self._evict_finished_jobs()
+        self._jobs.add(job)
         job.future = self._executor.submit(
             self._run_job, job, db_snapshot, index_snapshot
         )
@@ -915,14 +1077,9 @@ class PatternService:
 
     def _submit_degraded_mine(self, params: dict) -> dict:
         """The brownout mine path: cached result or approximate job."""
-        key = (
-            params["min_support"],
-            params["algorithm"],
-            params["max_size"],
-        )
-        cached = self.mine_cache.get(key)
+        cached = self.mine_cache.get(_mine_key(params))
         job = MineJob(
-            id=f"job-{next(self._job_ids)}",
+            id=self._jobs.new_id(),
             params=params,
             submitted_epoch=self.index.epoch,
             submitted_at=time.monotonic(),
@@ -938,8 +1095,7 @@ class PatternService:
             job.result = result
             job.submitted_epoch = result_epoch
             job.elapsed_seconds = 0.0
-            self._jobs[job.id] = job
-            self._evict_finished_jobs()
+            self._jobs.add(job)
             return {
                 "job_id": job.id,
                 "epoch": job.submitted_epoch,
@@ -947,10 +1103,9 @@ class PatternService:
                 "cached": True,
             }
         index_snapshot = self._index_snapshot()
-        self._jobs[job.id] = job
-        self._evict_finished_jobs()
+        self._jobs.add(job)
         job.future = self._executor.submit(
-            self._run_approximate_job, job, index_snapshot, len(self.database)
+            self._run_approximate_job, job, index_snapshot
         )
         return {
             "job_id": job.id,
@@ -967,45 +1122,27 @@ class PatternService:
         return self.index.to_memory()
 
     def _run_job(self, job: MineJob, database, index) -> None:
-        job.state = "running"
-        started = time.perf_counter()
+        params = job.params
         try:
-            try:
-                result = mine(
-                    database,
-                    index,
-                    job.params["min_support"],
-                    job.params["algorithm"],
-                    max_size=job.params["max_size"],
-                    workers=job.params["workers"],
+            self._settle(job, lambda: mine(
+                database,
+                index,
+                params["min_support"],
+                params["algorithm"],
+                max_size=params["max_size"],
+                workers=params["workers"],
+            ))
+            if job.state == "done":
+                # Feed the brownout cache: the next overload serves this
+                # result instead of queueing another full mine.
+                self.mine_cache.put(
+                    _mine_key(params), job.result, job.submitted_epoch
                 )
-            except Exception as exc:  # surfaces via the job poll, not a crash
-                job.elapsed_seconds = time.perf_counter() - started
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.state = "cancelled" if job.cancel_requested else "error"
-                return
-            job.elapsed_seconds = time.perf_counter() - started
-            if job.cancel_requested:
-                job.state = "cancelled"  # result discarded, as promised
-                return
-            job.result = result
-            job.state = "done"
-            # Feed the brownout cache: the next overload serves this
-            # result instead of queueing another full mine.
-            self.mine_cache.put(
-                (
-                    job.params["min_support"],
-                    job.params["algorithm"],
-                    job.params["max_size"],
-                ),
-                result,
-                job.submitted_epoch,
-            )
         finally:
             if self.admission is not None:
                 self.admission.finish_mine_job(job.cost, job.elapsed_seconds)
 
-    def _run_approximate_job(self, job: MineJob, index, n_transactions) -> None:
+    def _run_approximate_job(self, job: MineJob, index) -> None:
         """The brownout worker: index-only estimates, no refinement.
 
         Runs :func:`mine_approximate` over the snapshot — every count
@@ -1015,79 +1152,40 @@ class PatternService:
         the relief valve, its cost is bounded by the index scan, and
         the executor's thread count still caps real concurrency.
         """
+        self._settle(job, lambda: mine_approximate(
+            index, job.params["min_support"], max_size=job.params["max_size"]
+        )[0])
+
+    @staticmethod
+    def _settle(job: MineJob, work) -> None:
+        """Run a job's ``work`` on this worker thread and settle it."""
         job.state = "running"
         started = time.perf_counter()
         try:
-            result, _confidences = mine_approximate(
-                index,
-                job.params["min_support"],
-                max_size=job.params["max_size"],
-            )
-        except Exception as exc:
-            job.elapsed_seconds = time.perf_counter() - started
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.state = "cancelled" if job.cancel_requested else "error"
-            return
-        job.elapsed_seconds = time.perf_counter() - started
-        if job.cancel_requested:
-            job.state = "cancelled"
-            return
-        job.result = result
-        job.state = "done"
-
-    def _evict_finished_jobs(self) -> None:
-        finished = [
-            job_id for job_id, job in self._jobs.items()
-            if job.state in ("done", "error", "cancelled")
-        ]
-        excess = len(self._jobs) - MAX_RETAINED_JOBS
-        for job_id in finished[:max(0, excess)]:
-            del self._jobs[job_id]
-
-    def _get_job(self, args: dict) -> MineJob:
-        job_id = args.get("job_id")
-        job = self._jobs.get(job_id) if isinstance(job_id, str) else None
-        if job is None:
-            raise ServiceError(
-                f"unknown job id {job_id!r}", error_type=ERR_QUERY
-            )
-        return job
+            result = work()
+        except Exception as exc:  # surfaces via the job poll, not a crash
+            job.finish(started, error=f"{type(exc).__name__}: {exc}")
+        else:
+            job.finish(started, result)
 
     async def _op_job(self, args: dict) -> dict:
         """Poll one job; includes the serialised result once done."""
-        job = self._get_job(args)
-        payload = {
-            "job_id": job.id,
-            "state": job.state,
-            "params": job.params,
-            "epoch": job.submitted_epoch,
-            "elapsed_seconds": job.elapsed_seconds,
-        }
-        if job.degraded:
-            payload["degraded_load"] = True
-        if job.state == "error":
-            payload["error"] = job.error
-        if job.state == "done":
-            top = args.get("top", 0)
-            payload["result"] = _serialise_result(job.result, top)
-            payload["stale"] = job.submitted_epoch != self.index.epoch
-        return payload
+        return self._jobs.poll(
+            args, epoch=self.index.epoch, serialise=_serialise_result
+        )
 
-    async def _op_cancel(self, args: dict) -> dict:
-        """Cancel a job: immediate if pending, cooperative if running."""
-        job = self._get_job(args)
+    def _stop_job(self, job: MineJob) -> None:
+        """Immediate while the job is queued, cooperative once running."""
         if job.state == "pending" and job.future is not None and job.future.cancel():
             job.state = "cancelled"
             # The worker will never run, so release its backlog share
             # here (a run job releases in its own ``finally``).
             if self.admission is not None and not job.degraded:
                 self.admission.finish_mine_job(job.cost)
-        elif job.state in ("pending", "running"):
+        else:
             # The worker checks the flag after mining; the result is
             # discarded even though the CPU work may run to completion.
             job.cancel_requested = True
-        return {"job_id": job.id, "state": job.state,
-                "cancel_requested": job.cancel_requested}
 
     # -- tracked patterns ----------------------------------------------------
 
@@ -1121,19 +1219,11 @@ class PatternService:
     # -- observability -------------------------------------------------------
 
     async def _op_status(self, args: dict) -> dict:
-        states = Counter(job.state for job in self._jobs.values())
         load = None
         if self.admission is not None:
             overload = self.admission.as_dict()
-            load = {
-                "state": overload["brownout"]["state"],
-                "queued": {
-                    name: cls["queued"]
-                    for name, cls in overload["classes"].items()
-                },
-                "sheds_total": overload["sheds_total"],
-                "mine_outstanding": overload["mine_jobs"]["outstanding"],
-            }
+            load = load_summary(overload)
+            load["mine_outstanding"] = overload["mine_jobs"]["outstanding"]
         return {
             "load": load,
             "n_transactions": len(self.database),
@@ -1148,7 +1238,7 @@ class PatternService:
             "role": self.replication.role,
             "replication": self.replication.as_dict(len(self.database)),
             "uptime_seconds": time.monotonic() - self.started_monotonic,
-            "jobs": dict(states),
+            "jobs": self._jobs.states(),
         }
 
     async def _op_metrics(self, args: dict) -> dict:
@@ -1158,10 +1248,7 @@ class PatternService:
         payload = {
             "uptime_seconds": time.monotonic() - self.started_monotonic,
             "requests": dict(self.request_counts),
-            "latency": {
-                op: histogram.as_dict()
-                for op, histogram in sorted(self.histograms.items())
-            },
+            "latency": self.stats.latency(),
             "io": io_now.as_dict(),
             "io_delta": io_delta.as_dict(),
             "cache": self.cache.as_dict(),
@@ -1194,19 +1281,13 @@ class PatternService:
             "epoch": self.index.epoch,
         }
 
-    async def _op_shutdown(self, args: dict) -> dict:
-        """Request a graceful drain (same path as SIGTERM)."""
-        if self.shutdown_callback is not None:
-            self.shutdown_callback()
-        return {"draining": True}
-
     _OPS = {
         "count": _op_count,
         "count_batch": _op_count_batch,
         "append": _op_append,
         "mine": _op_mine,
         "job": _op_job,
-        "cancel": _op_cancel,
+        "cancel": OpService._op_cancel,
         "patterns": _op_patterns,
         "status": _op_status,
         "metrics": _op_metrics,
@@ -1216,7 +1297,7 @@ class PatternService:
         "snapshot": _op_snapshot,
         "snapshot_fetch": _op_snapshot_fetch,
         "promote": _op_promote,
-        "shutdown": _op_shutdown,
+        "shutdown": OpService._op_shutdown,
     }
 
 

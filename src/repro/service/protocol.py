@@ -32,6 +32,10 @@ from dataclasses import dataclass
 
 from repro.errors import (
     ConnectionClosedError,
+    DegradedError,
+    OverloadedError,
+    PartialResultError,
+    ServiceError,
     ServiceProtocolError,
     ServiceTimeoutError,
 )
@@ -183,6 +187,16 @@ def parse_request(payload: dict) -> Request:
     return Request(id=request_id, op=op, args=args, deadline_ms=deadline_ms)
 
 
+def request_frame(
+    request_id: int, op: str, args: dict, deadline_ms: float | None = None
+) -> dict:
+    """A request payload; ``deadline_ms`` is stamped only when given."""
+    frame = {"id": request_id, "op": op, "args": args}
+    if deadline_ms is not None:
+        frame["deadline_ms"] = deadline_ms
+    return frame
+
+
 def ok_frame(request_id: int, result: dict) -> dict:
     """A success response payload for ``request_id``."""
     return {"id": request_id, "ok": True, "result": result}
@@ -209,6 +223,37 @@ def error_frame(
         "ok": False,
         "error": error,
     }
+
+
+def decode_response(payload: dict | None, request_id: int) -> dict:
+    """The ``result`` of the response to ``request_id``, or its error raised.
+
+    ``payload`` is ``None`` when the connection closed instead.  Error
+    frames raise :class:`~repro.errors.ServiceError` keeping the wire
+    ``error_type`` (typed subclasses for degraded, partial, overloaded).
+    """
+    if payload is None:
+        raise ConnectionClosedError("connection closed between frames")
+    frame_id = payload.get("id")
+    if frame_id not in (request_id, -1):
+        raise ServiceProtocolError(
+            f"response id {frame_id!r} does not match request {request_id}"
+        )
+    if payload.get("ok"):
+        result = payload.get("result")
+        if not isinstance(result, dict):
+            raise ServiceProtocolError("success frame carries no result object")
+        return result
+    error = payload.get("error") or {}
+    message = error.get("message", "unspecified server error")
+    error_type = error.get("type", "internal")
+    if error_type == ERR_DEGRADED:
+        raise DegradedError(message)
+    if error_type == ERR_PARTIAL:
+        raise PartialResultError(message)
+    if error_type == ERR_OVERLOADED:
+        raise OverloadedError(message, retry_after=error.get("retry_after"))
+    raise ServiceError(message, error_type=error_type)
 
 
 def _check_length(length: int) -> None:

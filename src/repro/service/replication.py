@@ -53,7 +53,12 @@ from repro.errors import (
     StorageError,
 )
 from repro.service.client import ServiceClient
-from repro.service.protocol import read_frame, write_frame
+from repro.service.protocol import (
+    decode_response,
+    read_frame,
+    request_frame,
+    write_frame,
+)
 from repro.storage.metrics import IOStats
 from repro.storage.snapshot import SnapshotManifest, assemble_index
 from repro.storage.txfile import (
@@ -306,25 +311,12 @@ class FollowerTailer:
         """One replicate request/response and its applies."""
         request_id = self._next_id
         self._next_id += 1
-        await write_frame(writer, {
-            "id": request_id,
-            "op": "replicate",
-            "args": {
-                "from_position": len(self.service.database),
-                "max_records": self.batch_records,
-                "wait_s": self.poll_wait_s,
-            },
-        })
-        payload = await read_frame(reader)
-        if payload is None:
-            raise ConnectionResetError("primary closed the replication feed")
-        if not payload.get("ok"):
-            error = payload.get("error") or {}
-            raise ServiceError(
-                f"replicate refused: {error.get('message', 'unknown error')}",
-                error_type=error.get("type", "internal"),
-            )
-        result = payload["result"]
+        await write_frame(writer, request_frame(request_id, "replicate", {
+            "from_position": len(self.service.database),
+            "max_records": self.batch_records,
+            "wait_s": self.poll_wait_s,
+        }))
+        result = decode_response(await read_frame(reader), request_id)
         state.rounds += 1
         state.upstream_high_water = int(result["high_water_position"])
         for record in result["records"]:
@@ -375,7 +367,7 @@ def bootstrap_follower(
     db_file = Path(db_path)
     index_file = Path(index_path)
     with ServiceClient(upstream_host, upstream_port, timeout=timeout) as client:
-        status = client.request("status")
+        status = client.status()
         if not status.get("durable"):
             raise ConfigurationError(
                 f"primary {upstream_host}:{upstream_port} is not durable; "
@@ -422,7 +414,7 @@ def _ship_snapshot(
     actions: list[str],
 ) -> int:
     """Fetch manifest + spans and assemble the index; returns coverage."""
-    manifest = SnapshotManifest.from_dict(client.request("snapshot"))
+    manifest = SnapshotManifest.from_dict(client.snapshot())
     base_blob = _fetch_part(client, "header", manifest.base_length, fetch_bytes)
 
     def spans():
@@ -447,9 +439,8 @@ def _fetch_part(
     chunks = []
     offset = 0
     while offset < expected_length or (expected_length == 0 and not chunks):
-        payload = client.request(
-            "snapshot_fetch",
-            {"part": part, "offset": offset, "max_bytes": fetch_bytes},
+        payload = client.snapshot_fetch(
+            part, offset=offset, max_bytes=fetch_bytes
         )
         blob = base64.b64decode(payload["data"])
         chunks.append(blob)
@@ -476,10 +467,7 @@ def _catch_up_journal(
     fetched = 0
     position = n_local
     while True:
-        result = client.request(
-            "replicate",
-            {"from_position": position, "max_records": batch_records},
-        )
+        result = client.replicate(position, max_records=batch_records)
         records = result["records"]
         for _pos, tid, items in records:
             journal.append([int(i) for i in items], tid=int(tid))

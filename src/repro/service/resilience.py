@@ -1,7 +1,10 @@
 """Client-side resilience: retries, deadlines, and a circuit breaker.
 
-:class:`RetryingClient` wraps the blocking :class:`ServiceClient` with
-the machinery a long-lived caller needs against a server that crashes,
+:class:`RetryCore` owns every retry decision, without I/O; the blocking
+:class:`RetryingClient` and the router's asyncio
+:class:`~repro.service.shard.router.ShardLink` are thin loops around
+it.  :class:`RetryingClient` wraps :class:`ServiceClient` with the
+machinery a long-lived caller needs against a server that crashes,
 restarts, drops connections, or stalls:
 
 * a **per-operation deadline** spanning all attempts,
@@ -18,12 +21,13 @@ restarts, drops connections, or stalls:
 Which failures are retried
 --------------------------
 Transport failures (``OSError``, timeouts, mid-frame truncation,
-connection resets) and the transient wire errors ``overloaded``,
-``shutting_down``, and ``timeout`` are retried — but only for
-operations that are safe to resend: reads, and appends carrying a
-token.  Definitive answers (``bad_request``, ``query``, ``degraded``,
-``internal``) are never retried; the server spoke, retrying will not
-change its mind.
+connection resets) and the transient wire errors ``shutting_down`` and
+``timeout`` are retried — but only for operations that are safe to
+resend: reads, and appends carrying a token; a failure before the
+request was sent is retried for any operation.  A typed ``overloaded`` shed is resent for any operation (the
+server provably dispatched nothing).  Definitive answers
+(``bad_request``, ``query``, ``degraded``, ``internal``) are never
+retried; the server spoke, retrying will not change its mind.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from repro.errors import (
     ServiceError,
     ServiceTimeoutError,
 )
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceOps
+from repro.service.protocol import CURRENT_DEADLINE, Deadline
 
 #: Idempotency tokens live in [2**32, 2**63).  The floor keeps them
 #: disjoint from positional transaction ids (small integers counted
@@ -230,13 +235,223 @@ class AIMDLimiter:
             }
 
 
-class RetryingClient:
+#: The four classes of a failed attempt (see :func:`classify`).
+TRANSPORT = "transport"  # the link failed: refused, reset, EOF, timed out
+TRANSIENT = "transient"  # the peer answered "not now" (shutting_down, timeout)
+SHED = "shed"  # a typed ``overloaded``: healthy, provably dispatched nothing
+DEFINITIVE = "definitive"  # any other answer; resending will not change it
+
+#: Classes in which the peer gave no answer of its own: the router
+#: fails over to a follower on these, never on a shed or a definitive.
+UNANSWERED = frozenset({TRANSPORT, TRANSIENT})
+
+
+def classify(exc: BaseException) -> str:
+    """Which of the four failure classes ``exc`` falls in.
+
+    An open circuit counts as transport: the breaker opened because the
+    link kept failing.
+    """
+    if isinstance(exc, OverloadedError):
+        return SHED
+    if isinstance(exc, (OSError, ServiceTimeoutError, CircuitOpenError)):
+        return TRANSPORT
+    if isinstance(exc, ServiceError):
+        if exc.error_type == "protocol":
+            return TRANSPORT
+        if exc.error_type in RETRYABLE_ERROR_TYPES:
+            return TRANSIENT
+    return DEFINITIVE
+
+
+@dataclass(slots=True)
+class _Call:
+    """One logical operation's progress through the retry core."""
+
+    op: str
+    idempotent: bool
+    deadline_ts: float
+    ceiling: float  # per-attempt bound on the request/response exchange
+    budget: Deadline | None  # the propagated caller budget, if forwarded
+    attempt: int = 0
+    sent: bool = False  # the request may have hit the wire
+    last_exc: Exception | None = None
+
+
+class RetryCore:
+    """Every retry decision for one endpoint, with no I/O of its own.
+
+    A transport drives it: :meth:`_begin` per logical operation, then per
+    attempt :meth:`_next_attempt` (breaker and deadline gate), its own
+    dial and send (stamping :meth:`_stamp`, setting ``call.sent``), and
+    :meth:`_succeeded` or :meth:`_failed`, which raises or returns the
+    pause before the next attempt.  The core drops the connection
+    through the transport's ``close()``.
+
+    Two policy fields set by the transports tell them apart:
+    ``retry_sheds`` (resend a typed ``overloaded`` after the
+    ``retry_after`` floor and an AIMD halving, or raise it at once) and
+    ``forwards_budget`` (cap the deadline at the propagated
+    :data:`~repro.service.protocol.CURRENT_DEADLINE`, preempt an expired
+    one before any attempt and stamp only it; otherwise stamp the op's
+    own remaining budget).  For the breaker a shed is an answer from a
+    live peer: a success, like every definitive error.
+    """
+
+    retry_sheds = True
+    forwards_budget = False
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        policy: RetryPolicy,
+        rng: random.Random,
+        breaker: CircuitBreaker | None = None,
+        limiter: AIMDLimiter | None = None,
+        clock=time.monotonic,
+    ):
+        self.host = host
+        self.port = port
+        self.policy = policy
+        self.breaker = breaker or CircuitBreaker()
+        #: Optional shared AIMD window fed by sheds and successes.
+        self.limiter = limiter
+        self._rng = rng
+        self._clock = clock
+        self.retries = 0
+        self.reconnects = 0
+        self.sheds_seen = 0
+        #: Operations refused before any attempt because the propagated
+        #: deadline had already expired — the zero-orphaned-work proof.
+        self.deadline_preempts = 0
+
+    @property
+    def address(self) -> str:
+        return f"{self.host}:{self.port}"
+
+    def close(self) -> None:
+        """Drop the connection (transports override; the core has none)."""
+
+    def _begin(
+        self,
+        op: str,
+        args: dict | None,
+        idempotent: bool | None = None,
+        deadline: float | None = None,
+        request_timeout: float | None = None,
+    ) -> _Call:
+        """Start one logical operation.
+
+        ``idempotent`` defaults from the op: reads always, ``append``
+        only when ``args`` carries an idempotency token.
+        """
+        if idempotent is None:
+            idempotent = op in IDEMPOTENT_OPS or (
+                op == "append" and bool((args or {}).get("token"))
+            )
+        policy = self.policy
+        deadline_ts = self._clock() + (
+            deadline if deadline is not None else policy.op_deadline
+        )
+        budget = CURRENT_DEADLINE.get() if self.forwards_budget else None
+        if budget is not None:
+            # Retrying past the point where the original caller is gone
+            # is pure waste.
+            deadline_ts = min(deadline_ts, budget.expires_at)
+        ceiling = (
+            request_timeout if request_timeout is not None
+            else policy.request_timeout
+        )
+        return _Call(op, idempotent, deadline_ts, ceiling, budget)
+
+    def _next_attempt(self, call: _Call) -> float:
+        """Gate the next attempt; the seconds left in the op deadline."""
+        if call.attempt:
+            self.retries += 1
+        if not self.breaker.allow():
+            raise CircuitOpenError(
+                f"circuit open after repeated failures against {self.address}"
+            )
+        now = self._clock()
+        remaining = call.deadline_ts - now
+        if remaining <= 0:
+            budget = call.budget
+            if budget is not None and now >= budget.expires_at:
+                self.deadline_preempts += 1
+                raise ServiceTimeoutError(
+                    f"propagated deadline expired before contacting "
+                    f"{self.address}; the shard was never asked"
+                ) from call.last_exc
+            raise ServiceTimeoutError(
+                f"operation {call.op!r} deadline exhausted after "
+                f"{call.attempt} attempt(s) against {self.address}"
+            ) from call.last_exc
+        call.attempt += 1
+        call.sent = False
+        return remaining
+
+    def _dialled(self, call: _Call) -> None:
+        """The transport opened a new connection for this attempt."""
+        if call.attempt > 1:
+            self.reconnects += 1
+
+    def _stamp(self, call: _Call) -> float | None:
+        """The ``deadline_ms`` to stamp on this attempt's frame, if any."""
+        if not self.forwards_budget:
+            deadline_ts = call.deadline_ts
+        elif call.budget is not None:
+            deadline_ts = call.budget.expires_at
+        else:
+            return None
+        # The floor keeps an almost-expired request parseable; the
+        # peer's own pre-dispatch check refuses it if it runs out.
+        return max(1.0, (deadline_ts - self._clock()) * 1000.0)
+
+    def _succeeded(self) -> None:
+        self.breaker.record_success()
+        if self.limiter is not None:
+            self.limiter.on_success()
+
+    def _failed(self, call: _Call, exc: Exception) -> float:
+        """Account a failed attempt: raise ``exc``, or return the pause."""
+        kind = classify(exc)
+        if kind == SHED:
+            self.sheds_seen += 1
+            self.breaker.record_success()
+            if not self.retry_sheds:
+                raise exc
+            if self.limiter is not None:
+                self.limiter.on_overloaded()
+            retryable = True  # nothing was dispatched, whatever the op
+        elif kind == DEFINITIVE:
+            self.breaker.record_success()
+            raise exc
+        else:
+            self.breaker.record_failure()
+            self.close()
+            retryable = call.idempotent or (kind == TRANSPORT and not call.sent)
+        call.last_exc = exc
+        if not retryable or call.attempt >= self.policy.max_attempts:
+            raise exc
+        pause = self.policy.backoff(call.attempt, self._rng)
+        retry_after = getattr(exc, "retry_after", None)
+        if retry_after:
+            # The server's own capacity estimate is a *floor* on the
+            # backoff, never a ceiling.
+            pause = max(pause, float(retry_after))
+        return min(pause, max(0.0, call.deadline_ts - self._clock()))
+
+
+class RetryingClient(ServiceOps, RetryCore):
     """A reconnecting, retrying, deadline-bound service client.
 
-    Mirrors the :class:`ServiceClient` operation surface; each call is
-    one *logical* operation that may span several attempts over several
-    TCP connections.  Connections are dialled lazily and dropped on any
-    transport failure.
+    Has the :class:`ServiceClient` operation surface; each call is one
+    *logical* operation that may span several attempts over several TCP
+    connections.  Connections are dialled lazily and dropped on any
+    transport failure.  Appends get an idempotency token when the
+    caller supplies none.
     """
 
     def __init__(
@@ -249,39 +464,24 @@ class RetryingClient:
         limiter: AIMDLimiter | None = None,
         seed: int | None = None,
     ):
-        self.host = host
-        self.port = port
-        self.policy = policy or RetryPolicy()
-        self.breaker = breaker or CircuitBreaker()
-        #: Optional shared AIMD window; when set, every logical
-        #: operation holds one slot for its whole duration and the
-        #: window reacts to ``overloaded`` sheds / successes.
-        self.limiter = limiter
-        self._rng = random.Random(seed)
+        super().__init__(
+            host,
+            port,
+            policy=policy or RetryPolicy(),
+            breaker=breaker,
+            limiter=limiter,
+            rng=random.Random(seed),
+        )
         self._client: ServiceClient | None = None
-        self.retries = 0
-        self.reconnects = 0
-        self.sheds_seen = 0
-
-    # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        self._drop_connection()
+        client, self._client = self._client, None
+        if client is not None:
+            client.close()
 
-    def __enter__(self) -> "RetryingClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _drop_connection(self) -> None:
-        if self._client is not None:
-            try:
-                self._client.close()
-            finally:
-                self._client = None
-
-    # -- the retry core ------------------------------------------------------
+    def _append_token(self, token: int | None) -> int:
+        # The same token rides every retry, so the server can dedupe.
+        return make_token(self._rng) if token is None else token
 
     def request(
         self,
@@ -293,234 +493,49 @@ class RetryingClient:
     ) -> dict:
         """One logical operation, retried per the policy.
 
-        ``idempotent`` defaults from the op: reads always, ``append``
-        only when ``args`` carries an idempotency token.  Non-idempotent
-        operations still retry *connect* failures (nothing was sent) but
-        never a failure after the request hit the wire.
+        With a :attr:`limiter`, the operation holds one AIMD slot for
+        its whole duration.
         """
-        if idempotent is None:
-            idempotent = op in IDEMPOTENT_OPS or (
-                op == "append" and bool((args or {}).get("token"))
+        call = self._begin(op, args, idempotent, deadline)
+        limiter = self.limiter
+        if limiter is not None and not limiter.acquire(
+            timeout=max(0.0, call.deadline_ts - self._clock())
+        ):
+            raise ServiceTimeoutError(
+                f"operation {op!r} deadline exhausted waiting for an "
+                f"AIMD concurrency slot"
             )
-        policy = self.policy
-        deadline_ts = time.monotonic() + (
-            deadline if deadline is not None else policy.op_deadline
-        )
-        if self.limiter is not None:
-            if not self.limiter.acquire(
-                timeout=max(0.0, deadline_ts - time.monotonic())
-            ):
-                raise ServiceTimeoutError(
-                    f"operation {op!r} deadline exhausted waiting for an "
-                    f"AIMD concurrency slot"
-                )
-            try:
-                return self._request_attempts(
-                    op, args, idempotent=idempotent, deadline_ts=deadline_ts
-                )
-            finally:
-                self.limiter.release()
-        return self._request_attempts(
-            op, args, idempotent=idempotent, deadline_ts=deadline_ts
-        )
-
-    def _request_attempts(
-        self,
-        op: str,
-        args: dict | None,
-        *,
-        idempotent: bool,
-        deadline_ts: float,
-    ) -> dict:
-        policy = self.policy
-        attempt = 0
-        last_exc: Exception | None = None
-        while True:
-            if not self.breaker.allow():
-                raise CircuitOpenError(
-                    f"circuit open after repeated failures against "
-                    f"{self.host}:{self.port}"
-                )
-            remaining = deadline_ts - time.monotonic()
-            if remaining <= 0:
-                raise ServiceTimeoutError(
-                    f"operation {op!r} deadline exhausted after "
-                    f"{attempt} attempt(s)"
-                ) from last_exc
-            attempt += 1
-            sent = False
-            try:
-                if self._client is None:
-                    self._client = ServiceClient(
-                        self.host,
-                        self.port,
-                        timeout=min(policy.request_timeout, remaining),
-                        connect_timeout=min(policy.connect_timeout, remaining),
+        try:
+            while True:
+                remaining = self._next_attempt(call)
+                try:
+                    client = self._client
+                    if client is None:
+                        client = self._client = ServiceClient(
+                            self.host,
+                            self.port,
+                            timeout=min(call.ceiling, remaining),
+                            connect_timeout=min(
+                                self.policy.connect_timeout, remaining
+                            ),
+                        )
+                        self._dialled(call)
+                    else:
+                        client.settimeout(min(call.ceiling, remaining))
+                    call.sent = True
+                    result = client.request(
+                        op, args, deadline_ms=self._stamp(call)
                     )
-                    if attempt > 1:
-                        self.reconnects += 1
+                except (ServiceError, OSError) as exc:
+                    pause = self._failed(call, exc)
+                    if pause:
+                        time.sleep(pause)
                 else:
-                    self._client.settimeout(min(policy.request_timeout, remaining))
-                sent = True  # past this point the request may have been applied
-                # Stamp the attempt with whatever budget is left, so the
-                # server (and every hop behind it) stops working for this
-                # request the moment we would stop waiting for it.
-                budget_ms = max(
-                    1.0, (deadline_ts - time.monotonic()) * 1000.0
-                )
-                result = self._client.request(op, args, deadline_ms=budget_ms)
-            except OverloadedError as exc:
-                # A request-level shed: the server is healthy, answered
-                # typed, and provably dispatched nothing — safe to
-                # resend even for non-idempotent ops.  Feeds the AIMD
-                # window instead of the circuit breaker (the server
-                # spoke; it is not down).
-                self.sheds_seen += 1
-                if self.limiter is not None:
-                    self.limiter.on_overloaded()
-                caught, retryable = exc, True
-            except ServiceTimeoutError as exc:
-                self._note_failure(exc)
-                caught, retryable = exc, idempotent or not sent
-            except ServiceError as exc:
-                if exc.error_type == "protocol":
-                    # transport-level: truncated frame, reset, closed
-                    self._note_failure(exc)
-                    caught, retryable = exc, idempotent or not sent
-                elif exc.error_type in RETRYABLE_ERROR_TYPES:
-                    # the server answered but cannot serve right now
-                    self._note_failure(exc)
-                    caught, retryable = exc, idempotent
-                else:
-                    # a definitive answer: the server is healthy
-                    self.breaker.record_success()
-                    raise
-            except OSError as exc:
-                self._note_failure(exc)
-                caught, retryable = exc, idempotent or not sent
-            else:
-                self.breaker.record_success()
-                if self.limiter is not None:
-                    self.limiter.on_success()
-                return result
-            last_exc = caught
-            if not retryable or attempt >= policy.max_attempts:
-                raise caught
-            pause = policy.backoff(attempt, self._rng)
-            retry_after = getattr(caught, "retry_after", None)
-            if retry_after:
-                # The server's own capacity estimate is a *floor* on the
-                # backoff, never a ceiling.
-                pause = max(pause, float(retry_after))
-            pause = min(pause, max(0.0, deadline_ts - time.monotonic()))
-            if pause:
-                time.sleep(pause)
-            self.retries += 1
-
-    def _note_failure(self, exc: Exception) -> None:
-        self.breaker.record_failure()
-        self._drop_connection()
-
-    # -- operations ----------------------------------------------------------
-
-    def count(self, items, *, exact: bool = False) -> dict:
-        return self.request("count", {"items": list(items), "exact": exact})
-
-    def count_batch(self, itemsets, *, exact: bool = False) -> dict:
-        return self.request(
-            "count_batch",
-            {"itemsets": [list(items) for items in itemsets], "exact": exact},
-        )
-
-    def shardmap(self) -> dict:
-        return self.request("shardmap")
-
-    def append(self, items, *, token: int | None = None) -> dict:
-        """Insert one transaction exactly once, however many retries.
-
-        A token is generated if the caller does not supply one; the same
-        token rides every retry, so the server can deduplicate.
-        """
-        if token is None:
-            token = make_token(self._rng)
-        return self.request(
-            "append", {"items": list(items), "token": token}, idempotent=True
-        )
-
-    def mine(
-        self,
-        min_support,
-        *,
-        algorithm: str = "dfp",
-        max_size: int | None = None,
-        workers: int = 1,
-    ) -> str:
-        # Submitting a job is not idempotent (each submit is a new job);
-        # only connect failures are retried.
-        result = self.request(
-            "mine",
-            {
-                "min_support": min_support,
-                "algorithm": algorithm,
-                "max_size": max_size,
-                "workers": workers,
-            },
-        )
-        return result["job_id"]
-
-    def job(self, job_id: str, *, top: int = 0) -> dict:
-        return self.request("job", {"job_id": job_id, "top": top})
-
-    def wait_for_job(
-        self,
-        job_id: str,
-        *,
-        timeout: float = 60.0,
-        poll_interval: float = 0.05,
-        top: int = 0,
-    ) -> dict:
-        """Poll (with retries per poll) until the job settles."""
-        deadline = time.monotonic() + timeout
-        while True:
-            payload = self.job(job_id, top=top)
-            state = payload["state"]
-            if state == "done":
-                return payload
-            if state in ("error", "cancelled"):
-                raise ServiceError(
-                    f"job {job_id} finished as {state}: "
-                    f"{payload.get('error', 'no result')}",
-                    error_type="query",
-                )
-            if time.monotonic() >= deadline:
-                raise ServiceTimeoutError(
-                    f"job {job_id} still {state} after {timeout}s"
-                )
-            time.sleep(poll_interval)
-
-    def cancel(self, job_id: str) -> dict:
-        return self.request("cancel", {"job_id": job_id})
-
-    def patterns(self, *, top: int = 0) -> dict:
-        return self.request("patterns", {"top": top})
-
-    def status(self) -> dict:
-        return self.request("status")
-
-    def metrics(self) -> dict:
-        return self.request("metrics")
-
-    def health(self) -> dict:
-        return self.request("health")
-
-    def recover(self) -> dict:
-        return self.request("recover")
-
-    def promote(self) -> dict:
-        return self.request("promote")
-
-    def shutdown(self) -> dict:
-        return self.request("shutdown")
+                    self._succeeded()
+                    return result
+        finally:
+            if limiter is not None:
+                limiter.release()
 
 
 class IdempotencyWindow:

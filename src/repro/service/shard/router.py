@@ -8,13 +8,14 @@ clients speak the existing wire protocol and cannot tell a router from
 a single node, except that the answers cover the concatenation of every
 shard's transaction range.
 
-Per-shard transport is :class:`ShardLink`, the asyncio counterpart of
-:class:`~repro.service.resilience.RetryingClient`: the same
-:class:`RetryPolicy` (per-operation deadline spanning all attempts,
-capped exponential backoff with jitter, bounded attempts), the same
-:class:`CircuitBreaker` per endpoint, and the same retry matrix —
-transport failures and transient error frames retry for idempotent
-operations, definitive answers never do.
+Per-shard transport is :class:`ShardLink`, the asyncio transport of
+the retry core (:class:`~repro.service.resilience.RetryCore`) that the
+blocking :class:`~repro.service.resilience.RetryingClient` drives too:
+one :class:`RetryPolicy` (per-operation deadline spanning all attempts,
+capped exponential backoff with jitter, bounded attempts), a
+:class:`CircuitBreaker` per endpoint, and one retry matrix — transport
+failures and transient error frames retry for idempotent operations,
+definitive answers never do.
 
 Overload handling (PR 9): the router is itself served by a
 :class:`PatternServer`, so it inherits admission control and brownout
@@ -44,38 +45,42 @@ never serves an under-count from partial coverage.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import random
 import time
-from collections import Counter
-from dataclasses import dataclass, field
 
 from repro.core.refine import resolve_threshold
 from repro.errors import (
-    CircuitOpenError,
     ConfigurationError,
-    ConnectionClosedError,
     OverloadedError,
     PartialResultError,
     ReproError,
     ServiceError,
-    ServiceProtocolError,
     ServiceTimeoutError,
 )
-from repro.service.cache import canonical_itemset
-from repro.service.handlers import MAX_RETAINED_JOBS, LatencyHistogram, _itemset_arg
+from repro.service.handlers import (
+    MineJob,
+    OpService,
+    RequestStats,
+    _itemset_arg,
+    _itemsets_arg,
+    load_summary,
+    mine_params,
+)
 from repro.service.protocol import (
     CURRENT_DEADLINE,
     ERR_BAD_REQUEST,
     ERR_QUERY,
+    decode_response,
     read_frame,
+    request_frame,
     write_frame,
 )
 from repro.service.resilience import (
-    IDEMPOTENT_OPS,
-    RETRYABLE_ERROR_TYPES,
+    UNANSWERED,
     CircuitBreaker,
+    RetryCore,
     RetryPolicy,
+    classify,
 )
 from repro.service.shard.merge import (
     candidate_itemsets,
@@ -136,14 +141,17 @@ class ShardUnavailableError(ServiceError):
         self.cause = cause
 
 
-class ShardLink:
+class ShardLink(RetryCore):
     """One retrying, breaker-gated asyncio connection to one endpoint.
 
-    The async mirror of :class:`RetryingClient.request`: lazily dialled,
-    dropped on any transport failure, serialised per connection (the
-    protocol is strict request/response), bounded by the policy's
-    per-operation deadline across all attempts.
+    The asyncio transport of :class:`RetryCore`: lazily dialled, dropped
+    on any transport failure, serialised per connection (the protocol
+    is strict request/response).  It forwards the caller's budget and
+    raises a shed at once, for the fan-out to decide what it means.
     """
+
+    retry_sheds = False
+    forwards_budget = True
 
     def __init__(
         self,
@@ -154,24 +162,11 @@ class ShardLink:
         rng: random.Random,
         breaker: CircuitBreaker | None = None,
     ):
-        self.host = host
-        self.port = port
-        self.policy = policy
-        self.breaker = breaker or CircuitBreaker()
-        self._rng = rng
+        super().__init__(host, port, policy=policy, breaker=breaker, rng=rng)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._lock = asyncio.Lock()
         self._next_id = 1
-        self.retries = 0
-        self.reconnects = 0
-        #: Requests refused before dialling because the propagated
-        #: deadline had already expired — the zero-orphaned-work proof.
-        self.deadline_preempts = 0
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
 
     def close(self) -> None:
         """Drop the connection (sync-safe: no await, best-effort close)."""
@@ -191,41 +186,12 @@ class ShardLink:
                 f"timed out connecting to {self.address}"
             ) from exc
 
-    async def _roundtrip(self, op: str, args: dict) -> dict:
+    async def _roundtrip(self, op: str, args: dict, call) -> dict:
         request_id = self._next_id
         self._next_id += 1
-        frame: dict = {"id": request_id, "op": op, "args": args}
-        budget = CURRENT_DEADLINE.get()
-        if budget is not None:
-            # Re-stamp the *remaining* budget so the shard enforces the
-            # same wall-clock deadline the client asked for, minus the
-            # hops already spent.  The floor keeps an almost-expired
-            # request parseable; the shard's own pre-dispatch check
-            # refuses it there if the last millisecond runs out in
-            # flight.
-            frame["deadline_ms"] = max(budget.remaining_ms, 1.0)
+        frame = request_frame(request_id, op, args, self._stamp(call))
         await write_frame(self._writer, frame)
-        payload = await read_frame(self._reader)
-        if payload is None:
-            raise ConnectionClosedError("connection closed between frames")
-        frame_id = payload.get("id")
-        if frame_id not in (request_id, -1):
-            raise ServiceProtocolError(
-                f"response id {frame_id!r} does not match request {request_id}"
-            )
-        if payload.get("ok"):
-            result = payload.get("result")
-            if not isinstance(result, dict):
-                raise ServiceProtocolError(
-                    "success frame carries no result object"
-                )
-            return result
-        error = payload.get("error") or {}
-        message = error.get("message", "unspecified server error")
-        error_type = error.get("type", "internal")
-        if error_type == "overloaded":
-            raise OverloadedError(message, retry_after=error.get("retry_after"))
-        raise ServiceError(message, error_type=error_type)
+        return decode_response(await read_frame(self._reader), request_id)
 
     async def request(
         self,
@@ -243,59 +209,20 @@ class ShardLink:
         against a CPU-saturated miner can take seconds to answer — slow
         is not the same as unreachable).
         """
-        if idempotent is None:
-            idempotent = op in IDEMPOTENT_OPS or (
-                op == "append" and bool((args or {}).get("token"))
-            )
-        policy = self.policy
-        attempt_ceiling = (
-            request_timeout
-            if request_timeout is not None
-            else policy.request_timeout
-        )
-        deadline_ts = time.monotonic() + (
-            deadline if deadline is not None else policy.op_deadline
-        )
-        budget = CURRENT_DEADLINE.get()
-        if budget is not None:
-            # The propagated client budget caps the policy deadline:
-            # retrying a shard past the point where the original caller
-            # is gone is pure waste.
-            deadline_ts = min(deadline_ts, budget.expires_at)
-        attempt = 0
-        last_exc: Exception | None = None
+        call = self._begin(op, args, idempotent, deadline, request_timeout)
         while True:
-            if not self.breaker.allow():
-                raise CircuitOpenError(
-                    f"circuit open after repeated failures against "
-                    f"{self.address}"
-                )
-            remaining = deadline_ts - time.monotonic()
-            if remaining <= 0:
-                if budget is not None and budget.expired:
-                    # Refused before any dial or frame: an expired
-                    # request spawns no shard-side work at all.
-                    self.deadline_preempts += 1
-                    raise ServiceTimeoutError(
-                        f"propagated deadline expired before contacting "
-                        f"{self.address}; the shard was never asked"
-                    ) from last_exc
-                raise ServiceTimeoutError(
-                    f"operation {op!r} deadline exhausted after "
-                    f"{attempt} attempt(s) against {self.address}"
-                ) from last_exc
-            attempt += 1
-            sent = False
+            remaining = self._next_attempt(call)
             try:
                 async with self._lock:
                     if self._reader is None:
-                        await self._dial(min(policy.connect_timeout, remaining))
-                        if attempt > 1:
-                            self.reconnects += 1
-                    sent = True
+                        await self._dial(
+                            min(self.policy.connect_timeout, remaining)
+                        )
+                        self._dialled(call)
+                    call.sent = True
                     result = await asyncio.wait_for(
-                        self._roundtrip(op, args or {}),
-                        timeout=min(attempt_ceiling, remaining),
+                        self._roundtrip(op, args or {}, call),
+                        timeout=min(call.ceiling, remaining),
                     )
             except asyncio.CancelledError:
                 # Cancelled mid-roundtrip (fan-out shed, expired caller):
@@ -305,53 +232,19 @@ class ShardLink:
                 self.close()
                 raise
             except asyncio.TimeoutError:
-                self._note_failure()
-                caught: Exception = ServiceTimeoutError(
-                    f"timed out waiting for {op!r} from {self.address}"
+                pause = self._failed(
+                    call,
+                    ServiceTimeoutError(
+                        f"timed out waiting for {op!r} from {self.address}"
+                    ),
                 )
-                retryable = idempotent or not sent
-            except ServiceTimeoutError as exc:
-                self._note_failure()
-                caught, retryable = exc, idempotent or not sent
-            except OverloadedError:
-                # A shed is a definitive, healthy answer ("not now"):
-                # nothing was dispatched shard-side, the connection is
-                # still in protocol sync, and the breaker must not trip
-                # — the fan-out layer decides whether to shed the whole
-                # request or let the client's retry_after backoff work.
-                self.breaker.record_success()
-                raise
-            except ServiceError as exc:
-                if exc.error_type == "protocol":
-                    self._note_failure()
-                    caught, retryable = exc, idempotent or not sent
-                elif exc.error_type in RETRYABLE_ERROR_TYPES:
-                    self._note_failure()
-                    caught, retryable = exc, idempotent
-                else:
-                    # A definitive answer: the shard is healthy.
-                    self.breaker.record_success()
-                    raise
-            except OSError as exc:
-                self._note_failure()
-                caught, retryable = exc, idempotent or not sent
+            except (ServiceError, OSError) as exc:
+                pause = self._failed(call, exc)
             else:
-                self.breaker.record_success()
+                self._succeeded()
                 return result
-            last_exc = caught
-            if not retryable or attempt >= policy.max_attempts:
-                raise caught
-            pause = min(
-                policy.backoff(attempt, self._rng),
-                max(0.0, deadline_ts - time.monotonic()),
-            )
             if pause:
                 await asyncio.sleep(pause)
-            self.retries += 1
-
-    def _note_failure(self) -> None:
-        self.breaker.record_failure()
-        self.close()
 
     def as_dict(self) -> dict:
         return {
@@ -416,45 +309,7 @@ class ShardState:
             self.follower.close()
 
 
-@dataclass
-class RouterMineJob:
-    """One two-phase scatter-gather mining job on the router."""
-
-    id: str
-    params: dict
-    submitted_epoch: int
-    submitted_at: float
-    state: str = "pending"  # pending -> running -> done|error|cancelled
-    result: dict | None = None
-    error: str | None = None
-    elapsed_seconds: float | None = None
-    task: object = field(default=None, repr=False)
-
-
-def _is_unreachable(exc: Exception) -> bool:
-    """Failures that justify failing over to a follower.
-
-    Transport-level failures, exhausted deadlines, an open breaker, and
-    the transient wire errors — everything where the shard did *not*
-    give a definitive answer.  A typed ``overloaded`` shed is
-    *excluded* even though clients retry it: the primary is alive and
-    answering, it just refused to queue more work — routing the load to
-    its follower would melt the replica a saturated primary is counting
-    on, so sheds propagate to the fan-out layer instead.
-    """
-    if isinstance(exc, (OSError, ServiceTimeoutError, CircuitOpenError)):
-        return True
-    if isinstance(exc, ServiceError):
-        if exc.error_type == "overloaded":
-            return False
-        return (
-            exc.error_type == "protocol"
-            or exc.error_type in RETRYABLE_ERROR_TYPES
-        )
-    return False
-
-
-class ShardRouter:
+class ShardRouter(OpService):
     """The service object a :class:`PatternServer` serves for a router.
 
     Routed operations: ``count``, ``append``, ``mine``/``job``/
@@ -473,6 +328,7 @@ class ShardRouter:
         policy: RetryPolicy | None = None,
         seed: int | None = None,
     ):
+        super().__init__("rjob")
         self.map = shard_map
         self.map_path = map_path
         self.policy = policy or ROUTER_POLICY
@@ -482,21 +338,12 @@ class ShardRouter:
             for entry in shard_map.entries
         ]
         self._epoch_high = 0
-        self.histograms: dict[str, LatencyHistogram] = {}
-        self.fanout_latency: dict[str, LatencyHistogram] = {}
-        self.request_counts: Counter = Counter()
+        #: Per-op time spent fanning out to the shards.
+        self.fanout_stats = RequestStats()
         #: Fan-outs abandoned because a required shard shed (typed
         #: ``overloaded``): the router cancelled the other legs and
         #: answered with the shard's ``retry_after``.
         self.fanout_sheds = 0
-        #: Set by the server (PatternServer.__init__): the shared
-        #: AdmissionController guarding the router's own front door.
-        self.admission = None
-        self.started_monotonic = time.monotonic()
-        self._jobs: dict[str, RouterMineJob] = {}
-        self._job_ids = itertools.count(1)
-        #: Set by the server (PatternServer.__init__), same as a service.
-        self.shutdown_callback = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -595,48 +442,49 @@ class ShardRouter:
     def close(self) -> None:
         """Drop every shard connection; cancel in-flight routed jobs."""
         for job in self._jobs.values():
-            if job.task is not None and job.state in ("pending", "running"):
-                job.task.cancel()
+            if job.future is not None and job.state in ("pending", "running"):
+                job.future.cancel()
         for state in self.shards:
             state.close()
 
     # -- dispatch ------------------------------------------------------------
 
-    async def handle(self, op: str, args: dict, deadline=None) -> dict:
-        # ``deadline`` is accepted for signature parity with
-        # PatternService; the live budget itself rides in the
-        # CURRENT_DEADLINE contextvar the server set, which every
-        # ShardLink in this task reads when stamping shard frames.
-        handler = self._OPS.get(op)
-        if handler is None:
-            if op in UNROUTED_OPS:
-                raise ServiceError(
-                    f"op {op!r} is not routed: it is a per-shard storage "
-                    f"operation — address the shard server directly "
-                    f"(see the `shardmap` op for addresses)",
-                    error_type=ERR_BAD_REQUEST,
-                )
+    handle = OpService.handle
+
+    def _handler(self, op: str):
+        if op in UNROUTED_OPS:
             raise ServiceError(
-                f"unknown op {op!r}; expected one of {sorted(self._OPS)}",
+                f"op {op!r} is not routed: it is a per-shard storage "
+                f"operation — address the shard server directly "
+                f"(see the `shardmap` op for addresses)",
                 error_type=ERR_BAD_REQUEST,
             )
-        started = time.perf_counter()
-        try:
-            return await handler(self, args)
-        finally:
-            histogram = self.histograms.get(op)
-            if histogram is None:
-                histogram = self.histograms[op] = LatencyHistogram()
-            histogram.record(time.perf_counter() - started)
-            self.request_counts[op] += 1
+        return super()._handler(op)
 
     # -- shard transport helpers ---------------------------------------------
 
-    def _record_fanout(self, op: str, seconds: float) -> None:
-        histogram = self.fanout_latency.get(op)
-        if histogram is None:
-            histogram = self.fanout_latency[op] = LatencyHistogram()
-        histogram.record(seconds)
+    async def _failover(self, state: ShardState, work) -> dict:
+        """``work(link)`` on the shard's primary, else on its follower.
+
+        Raises :class:`ShardUnavailableError` when neither gave an
+        answer of its own; sheds and definitive errors (``bad_request``,
+        ``query``, ``degraded``...) propagate untouched.
+        """
+        try:
+            return await work(state.primary)
+        except Exception as exc:
+            if classify(exc) not in UNANSWERED:
+                raise
+            if state.follower is None:
+                raise ShardUnavailableError(state.entry, exc) from exc
+            try:
+                return await work(state.follower)
+            except Exception as follower_exc:
+                if classify(follower_exc) not in UNANSWERED:
+                    raise
+                raise ShardUnavailableError(
+                    state.entry, follower_exc
+                ) from follower_exc
 
     async def _shard_request(
         self,
@@ -644,43 +492,20 @@ class ShardRouter:
         op: str,
         args: dict | None = None,
         *,
-        failover: bool = True,
         deadline: float | None = None,
         request_timeout: float | None = None,
     ) -> dict:
-        """One shard operation with follower failover for reads.
-
-        Raises :class:`ShardUnavailableError` when neither the primary
-        nor the follower could give a definitive answer; definitive
-        errors (``bad_request``, ``query``, ``degraded``...) propagate
-        untouched.
-        """
+        """One shard operation, failing over to the follower."""
         started = time.perf_counter()
         try:
-            result = await state.primary.request(
-                op, args, deadline=deadline, request_timeout=request_timeout
+            result = await self._failover(
+                state,
+                lambda link: link.request(
+                    op, args, deadline=deadline, request_timeout=request_timeout
+                ),
             )
-        except Exception as exc:
-            if not _is_unreachable(exc):
-                raise
-            if failover and state.follower is not None:
-                try:
-                    result = await state.follower.request(
-                        op,
-                        args,
-                        deadline=deadline,
-                        request_timeout=request_timeout,
-                    )
-                except Exception as follower_exc:
-                    if not _is_unreachable(follower_exc):
-                        raise
-                    raise ShardUnavailableError(
-                        state.entry, follower_exc
-                    ) from follower_exc
-            else:
-                raise ShardUnavailableError(state.entry, exc) from exc
         finally:
-            self._record_fanout(op, time.perf_counter() - started)
+            self.fanout_stats.record(op, time.perf_counter() - started)
         state.observe(result)
         return result
 
@@ -819,8 +644,6 @@ class ShardRouter:
             results.append(
                 merge_count_payloads(list(key), per_shard, want_exact=want_exact)
             )
-        for state, payload in zip(self.shards, payloads):
-            state.observe(payload)
         epoch = self._router_epoch()
         for entry in results:
             entry["epoch"] = epoch
@@ -846,7 +669,7 @@ class ShardRouter:
         try:
             result = await tail_state.primary.request("append", args)
         except Exception as exc:
-            if not _is_unreachable(exc):
+            if classify(exc) not in UNANSWERED:
                 raise
             if tail_state.follower is None:
                 self._raise_partial([ShardUnavailableError(tail_state.entry, exc)])
@@ -865,7 +688,7 @@ class ShardRouter:
         try:
             await follower.request("promote")
         except Exception as exc:
-            if _is_unreachable(exc):
+            if classify(exc) in UNANSWERED:
                 self._raise_partial([ShardUnavailableError(state.entry, exc)])
             raise
         # The promote RPC suspended this task; a concurrent append that
@@ -882,39 +705,17 @@ class ShardRouter:
     # -- mining --------------------------------------------------------------
 
     async def _op_mine(self, args: dict) -> dict:
-        from repro.core.mining import ALGORITHMS
-
-        min_support = args.get("min_support")
-        if not isinstance(min_support, (int, float)) or isinstance(
-            min_support, bool
-        ):
-            raise ServiceError(
-                "'min_support' must be a number (absolute count or fraction)",
-                error_type=ERR_BAD_REQUEST,
-            )
-        algorithm = args.get("algorithm", "dfp")
-        if algorithm not in ALGORITHMS + ("auto",):
-            raise ServiceError(
-                f"unknown algorithm {algorithm!r}", error_type=ERR_BAD_REQUEST
-            )
-        params = {
-            "min_support": min_support,
-            "algorithm": algorithm,
-            "max_size": args.get("max_size"),
-            "workers": args.get("workers", 1),
-        }
-        job = RouterMineJob(
-            id=f"rjob-{next(self._job_ids)}",
-            params=params,
+        job = MineJob(
+            id=self._jobs.new_id(),
+            params=mine_params(args),
             submitted_epoch=self._router_epoch(),
             submitted_at=time.monotonic(),
         )
-        self._jobs[job.id] = job
-        self._evict_finished_jobs()
-        job.task = asyncio.ensure_future(self._run_mine_job(job))
+        self._jobs.add(job)
+        job.future = asyncio.ensure_future(self._run_mine_job(job))
         return {"job_id": job.id, "epoch": job.submitted_epoch}
 
-    async def _run_mine_job(self, job: RouterMineJob) -> None:
+    async def _run_mine_job(self, job: MineJob) -> None:
         # The submitting request's budget only covered the *submission*;
         # this background task inherited a copy of its context, so shed
         # the stale deadline or every shard poll would be stamped with a
@@ -927,25 +728,19 @@ class ShardRouter:
                 self._mine_two_phase(job.params), timeout=MINE_DEADLINE_S
             )
         except asyncio.CancelledError:
-            job.elapsed_seconds = time.perf_counter() - started
-            job.state = "cancelled"
+            job.cancel_requested = True
+            job.finish(started)
             raise
         except asyncio.TimeoutError:
-            job.elapsed_seconds = time.perf_counter() - started
-            job.error = (
-                f"routed mine exceeded the {MINE_DEADLINE_S:.0f}s deadline"
+            job.finish(
+                started,
+                error=f"routed mine exceeded the {MINE_DEADLINE_S:.0f}s deadline",
             )
-            job.state = "error"
-            return
         except (ReproError, OSError) as exc:
-            job.elapsed_seconds = time.perf_counter() - started
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.state = "error"
-            return
-        job.elapsed_seconds = time.perf_counter() - started
-        result["elapsed_seconds"] = job.elapsed_seconds
-        job.result = result
-        job.state = "done"
+            job.finish(started, error=f"{type(exc).__name__}: {exc}")
+        else:
+            job.finish(started, result)
+            result["elapsed_seconds"] = job.elapsed_seconds
 
     async def _mine_two_phase(self, params: dict) -> dict:
         """Partition phase 1 (scatter) + exact verification phase 2.
@@ -996,20 +791,11 @@ class ShardRouter:
             "workers": params["workers"],
         }
         try:
-            return await self._mine_via(state.primary, mine_args)
-        except Exception as exc:
-            if not _is_unreachable(exc):
-                raise
-            if state.follower is None:
-                self._raise_partial([ShardUnavailableError(state.entry, exc)])
-            try:
-                return await self._mine_via(state.follower, mine_args)
-            except Exception as follower_exc:
-                if not _is_unreachable(follower_exc):
-                    raise
-                self._raise_partial(
-                    [ShardUnavailableError(state.entry, follower_exc)]
-                )
+            return await self._failover(
+                state, lambda link: self._mine_via(link, mine_args)
+            )
+        except ShardUnavailableError as exc:
+            self._raise_partial([exc])
 
     async def _mine_via(self, link: ShardLink, mine_args: dict) -> dict:
         submitted = await link.request("mine", mine_args, idempotent=True)
@@ -1061,55 +847,16 @@ class ShardRouter:
                     per_shard[shard_index][key] = entry["exact"]
         return sum_exact_counts(candidates, per_shard)
 
-    def _evict_finished_jobs(self) -> None:
-        finished = [
-            job_id
-            for job_id, job in self._jobs.items()
-            if job.state in ("done", "error", "cancelled")
-        ]
-        excess = len(self._jobs) - MAX_RETAINED_JOBS
-        for job_id in finished[: max(0, excess)]:
-            del self._jobs[job_id]
-
-    def _get_job(self, args: dict) -> RouterMineJob:
-        job_id = args.get("job_id")
-        job = self._jobs.get(job_id) if isinstance(job_id, str) else None
-        if job is None:
-            raise ServiceError(
-                f"unknown job id {job_id!r}", error_type=ERR_QUERY
-            )
-        return job
-
     async def _op_job(self, args: dict) -> dict:
-        job = self._get_job(args)
-        payload = {
-            "job_id": job.id,
-            "state": job.state,
-            "params": job.params,
-            "epoch": job.submitted_epoch,
-            "elapsed_seconds": job.elapsed_seconds,
-        }
-        if job.state == "error":
-            payload["error"] = job.error
-        if job.state == "done":
-            top = args.get("top", 0)
-            result = dict(job.result)
-            if top:
-                result["patterns"] = result["patterns"][:top]
-            payload["result"] = result
-            payload["stale"] = job.submitted_epoch != self._router_epoch()
-        return payload
+        return self._jobs.poll(
+            args, epoch=self._router_epoch(), serialise=_top_patterns
+        )
 
-    async def _op_cancel(self, args: dict) -> dict:
-        job = self._get_job(args)
-        if job.state in ("pending", "running") and job.task is not None:
-            job.task.cancel()
+    def _stop_job(self, job: MineJob) -> None:
+        if job.future is not None:
+            job.future.cancel()
             job.state = "cancelled"
-        return {
-            "job_id": job.id,
-            "state": job.state,
-            "cancel_requested": job.state == "cancelled",
-        }
+            job.cancel_requested = True
 
     # -- tracked patterns ----------------------------------------------------
 
@@ -1183,7 +930,6 @@ class ShardRouter:
 
     async def _op_status(self, args: dict) -> dict:
         rows, unreachable = await self._shard_overview()
-        states = Counter(job.state for job in self._jobs.values())
         payload = {
             "router": True,
             "n_transactions": sum(row["n_transactions"] for row in rows),
@@ -1194,19 +940,11 @@ class ShardRouter:
             "mode": "ok" if unreachable == 0 else "partial",
             "shards": rows,
             "uptime_seconds": time.monotonic() - self.started_monotonic,
-            "jobs": dict(states),
+            "jobs": self._jobs.states(),
             "fanout_sheds": self.fanout_sheds,
         }
         if self.admission is not None:
-            snapshot = self.admission.as_dict()
-            payload["load"] = {
-                "state": snapshot["brownout"]["state"],
-                "queued": {
-                    name: stats["queued"]
-                    for name, stats in snapshot["classes"].items()
-                },
-                "sheds_total": snapshot["sheds_total"],
-            }
+            payload["load"] = load_summary(self.admission.as_dict())
         return payload
 
     async def _op_metrics(self, args: dict) -> dict:
@@ -1215,14 +953,8 @@ class ShardRouter:
             "router": True,
             "uptime_seconds": time.monotonic() - self.started_monotonic,
             "requests": dict(self.request_counts),
-            "latency": {
-                op: histogram.as_dict()
-                for op, histogram in sorted(self.histograms.items())
-            },
-            "fanout_latency": {
-                op: histogram.as_dict()
-                for op, histogram in sorted(self.fanout_latency.items())
-            },
+            "latency": self.stats.latency(),
+            "fanout_latency": self.fanout_stats.latency(),
             "generation": self.map.generation,
             "unreachable_shards": unreachable,
             "mode": "ok" if unreachable == 0 else "partial",
@@ -1252,49 +984,34 @@ class ShardRouter:
     async def _op_shardmap(self, args: dict) -> dict:
         return self.map.as_dict()
 
-    async def _op_shutdown(self, args: dict) -> dict:
-        if self.shutdown_callback is not None:
-            self.shutdown_callback()
-        return {"draining": True}
-
     _OPS = {
         "count": _op_count,
         "count_batch": _op_count_batch,
         "append": _op_append,
         "mine": _op_mine,
         "job": _op_job,
-        "cancel": _op_cancel,
+        "cancel": OpService._op_cancel,
         "patterns": _op_patterns,
         "status": _op_status,
         "metrics": _op_metrics,
         "health": _op_health,
         "shardmap": _op_shardmap,
-        "shutdown": _op_shutdown,
+        "shutdown": OpService._op_shutdown,
     }
 
 
-def _itemsets_arg(args: dict) -> list[tuple]:
-    """Validate the ``itemsets`` argument of a ``count_batch`` request."""
-    itemsets = args.get("itemsets")
-    if not isinstance(itemsets, list) or not itemsets:
-        raise ServiceError(
-            "'itemsets' must be a non-empty JSON list of itemsets",
-            error_type=ERR_BAD_REQUEST,
-        )
-    if len(itemsets) > VERIFY_BATCH * 2:
-        raise ServiceError(
-            f"'itemsets' holds {len(itemsets)} entries, over the "
-            f"{VERIFY_BATCH * 2} per-request cap; split the batch",
-            error_type=ERR_BAD_REQUEST,
-        )
-    return [_itemset_arg({"items": items}) for items in itemsets]
+def _top_patterns(result: dict, top: int) -> dict:
+    """A finished routed mine's payload, cut to its ``top`` patterns."""
+    result = dict(result)
+    if top:
+        result["patterns"] = result["patterns"][:top]
+    return result
 
 
 __all__ = [
     "JOB_POLL_INTERVAL_S",
     "MINE_DEADLINE_S",
     "ROUTER_POLICY",
-    "RouterMineJob",
     "ShardLink",
     "ShardRouter",
     "ShardState",

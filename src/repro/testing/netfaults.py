@@ -159,6 +159,12 @@ class ChaosProxy:
         """Stop accepting, kill live relays, join threads."""
         self._closing = True
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so the accept loop exits promptly.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

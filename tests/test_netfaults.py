@@ -230,3 +230,22 @@ class TestNonIdempotentOps:
         with pytest.raises(OSError):
             client.mine(20)
         assert client.retries == 2
+
+
+class TestProxyLifecycle:
+    def test_close_wakes_the_accept_loop_promptly(self):
+        import threading
+        import time
+
+        with ChaosProxy("127.0.0.1", 1).start() as proxy:
+            accept_thread = proxy._accept_thread
+            assert accept_thread.is_alive()
+            started = time.monotonic()
+            proxy.close()
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        assert not accept_thread.is_alive()
+        assert not any(
+            thread.name == "chaos-proxy-accept" and thread.is_alive()
+            for thread in threading.enumerate()
+        )

@@ -412,7 +412,7 @@ class TestBrownoutDegradedMine:
 
 
 # --------------------------------------------------------------------------
-# Client cooperation: retry_after floor, AIMD halving, breaker untouched
+# Client cooperation: retry_after floor, AIMD halving, breaker never trips
 # --------------------------------------------------------------------------
 
 

@@ -10,6 +10,8 @@ typed :class:`ParallelExecutionError`, never a hang.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,66 @@ class TestWorkerCrash:
         monkeypatch.setattr(parallel_module, "_build_partition", boom)
         with pytest.raises(ParallelExecutionError):
             build_partitioned(db, 128, workers=2)
+
+    def test_failed_partitioned_build_lets_the_process_exit(self):
+        """The case above, in a subprocess that must exit.
+
+        After such a failure the executor's manager thread could wait
+        forever on a work item whose future had already finished, and
+        the interpreter's exit hook joins that thread.  Twenty failed
+        builds per run make the race all but certain to show.
+        """
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        script = textwrap.dedent(
+            """
+            import repro.core.parallel as parallel
+            from repro.errors import ParallelExecutionError
+            from tests.conftest import make_random_database
+
+            def main():
+                def boom(transactions, family_desc):
+                    raise OSError("disk on fire")
+
+                parallel._build_partition = boom
+                db = make_random_database(
+                    seed=11, n_transactions=180, n_items=30
+                )
+                for _ in range(20):
+                    try:
+                        parallel.build_partitioned(db, 128, workers=2)
+                    except ParallelExecutionError:
+                        continue
+                    raise SystemExit("the failed build did not raise")
+
+            main()
+            """
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            _, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            # Its own process group: the pool workers die with it.
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the process still ran 60 s after its failed builds")
+        assert proc.returncode == 0, stderr.decode()[-2000:]
 
 
 class TestWorkersValidation:
