@@ -49,7 +49,7 @@ _BARRIER_NAMES = {
 }
 
 #: Frame-emitting calls: the ACK leaves through one of these.
-_ACK_NAMES = {"write_frame", "write_frame_sock"}
+_ACK_NAMES = {"write_frame", "write_frame_nowait", "write_frame_sock"}
 
 #: Receiver-name fragments marking a buffered *durable* write target.
 _DURABLE_RECEIVERS = {"journal", "log", "wal"}

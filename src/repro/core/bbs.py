@@ -39,6 +39,10 @@ from repro.storage.metrics import IOStats
 DEFAULT_K = 4
 _INITIAL_CAPACITY_WORDS = 16  # 1024 transactions before the first growth
 
+#: Bytes of gathered slice rows one :meth:`BBS.count_itemsets` chunk may
+#: hold (a chunk always takes at least one itemset).
+COUNT_SCRATCH_BYTES = 256 * 1024
+
 
 class BBS:
     """Bit-Sliced Bloom-Filtered Signature File.
@@ -222,6 +226,38 @@ class BBS:
         Never an under-estimate (Lemma 4).
         """
         return bitvec.popcount(self.resultant_vector(items))
+
+    def count_itemsets(self, itemsets: Iterable[Iterable]) -> list[int]:
+        """``CountItemSet`` for many itemsets in one vectorised pass.
+
+        Equal to ``[self.count_itemset(x) for x in itemsets]``, with the
+        same ``slice_reads`` charge.  Each itemset's signature positions
+        become one row of a position table, padded to the widest row by
+        repeating the row's first position (AND is idempotent).  Rows
+        are gathered from the slice matrix in chunks of at most
+        :data:`COUNT_SCRATCH_BYTES`, AND-reduced along the position axis
+        and counted with one :func:`~repro.core.bitvec.row_popcount`.
+        """
+        rows = [self.signature_positions(items) for items in itemsets]
+        widths = np.array([row.size for row in rows], dtype=np.int64)
+        self.stats.slice_reads += int(widths.sum())
+        n = self.n_words
+        if n == 0 or not rows:
+            return [0] * len(rows)
+        width = int(widths.max())
+        table = np.repeat(
+            np.array([row[0] for row in rows], dtype=np.int64)[:, None], width, axis=1
+        )
+        table[np.arange(width) < widths[:, None]] = np.concatenate(rows)
+        step = max(1, COUNT_SCRATCH_BYTES // (width * n * 8))
+        slices = self._slices[:, :n]
+        counts: list[int] = []
+        for start in range(0, len(rows), step):
+            gathered = slices[table[start:start + step]]  # (rows, width, n)
+            counts += bitvec.row_popcount(
+                np.bitwise_and.reduce(gathered, axis=1)
+            ).tolist()
+        return counts
 
     def count_and_vector(self, items: Iterable) -> tuple[int, np.ndarray]:
         """Estimated support together with the resultant vector."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import pickle
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
@@ -86,17 +87,30 @@ class WorkerPool:
         _LIVE_POOLS.append(self)
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
+        """Queue ``fn(*args)`` on a worker.
+
+        The task is pickled here, in the caller: a task that cannot be
+        pickled raises at once, typed, and the executor's queue feeder
+        thread, which would otherwise fail the future behind the
+        manager thread's back, only ever sends bytes.
+        """
         if self.closed:
             raise ParallelExecutionError(
                 "worker pool is closed (a previous task crashed it or it "
                 "was shut down); create a new pool"
             )
         try:
+            task = pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ParallelExecutionError(
+                f"a parallel task could not be pickled: {exc}"
+            ) from exc
+        try:
             if self._worker_died():
                 # The executor notices a death asynchronously; check the
                 # sentinels first so a survivor cannot absorb the tasks.
                 raise BrokenProcessPool("a worker process has exited")
-            return self._executor.submit(fn, *args)
+            return self._executor.submit(_run_pickled, task)
         except BrokenProcessPool as exc:
             # A worker died between tasks (e.g. kill -9 while idle).
             self.close()
@@ -179,6 +193,12 @@ class WorkerPool:
             hooks, self._close_hooks = self._close_hooks, []
             for hook in hooks:
                 hook()
+
+
+def _run_pickled(task: bytes) -> Any:
+    """Worker side of :meth:`WorkerPool.submit`: unpickle and run."""
+    fn, args = pickle.loads(task)
+    return fn(*args)
 
 
 def live_pools() -> list[WorkerPool]:

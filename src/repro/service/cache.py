@@ -17,13 +17,13 @@ Two mechanisms keep a hot ``count`` workload off the index:
   another full mine it cannot afford.
 
 * :class:`MicroBatcher` — coalesces ``count`` requests that arrive in
-  the same event-loop window into one drain pass.  Duplicate itemsets
-  collapse to a single computation, and distinct itemsets are evaluated
-  in sorted signature-position order so that consecutive queries
-  sharing a slice-position prefix reuse the partially-ANDed
-  accumulator (the same incremental-AND trick the filter recursion
-  uses, see DESIGN.md).  Under concurrent load this turns k slice ANDs
-  per request into roughly one AND per *distinct new slice*.
+  the same event-loop window into one drain.  Duplicate itemsets
+  collapse to a single computation, and the distinct itemsets are
+  counted in one vectorised pass (:meth:`~repro.core.bbs.BBS.count_itemsets`:
+  one gather of their slice rows, an AND-reduce and a row popcount,
+  with scratch memory bounded at 256 KiB).  A
+  :class:`~repro.storage.diskbbs.DiskBBS` still counts per itemset
+  through its page cache.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ import asyncio
 import threading
 from collections import OrderedDict
 
-import numpy as np
-
-from repro.core import bitvec
 from repro.errors import ConfigurationError, QueryError
 
 DEFAULT_CACHE_ENTRIES = 4096
@@ -175,24 +172,14 @@ class MineResultCache:
 
 
 class MicroBatcher:
-    """Coalesce concurrent ``count`` requests into shared AND passes.
+    """Coalesce concurrent ``count`` requests into one counting pass.
 
-    Callers ``await count(itemset)``; the first request in an idle
-    window schedules a drain on the next event-loop tick, and every
-    request that lands before the drain runs joins the same batch.  The
-    drain then:
-
-    1. collapses duplicate itemsets (each distinct itemset is computed
-       once, all waiters share the result), and
-    2. orders distinct itemsets by their signature-position tuples and
-       walks them with a prefix stack, so two itemsets whose sorted
-       slice positions share a prefix reuse the accumulator up to the
-       divergence point instead of re-ANDing from all-ones.
-
-    The prefix pass needs the in-memory index's zero-copy hooks
-    (:meth:`~repro.core.bbs.BBS.and_positions_into`); a
-    :class:`~repro.storage.diskbbs.DiskBBS` resident index falls back
-    to per-itemset ``count_itemset`` while keeping the dedup benefit.
+    Callers ``await count(itemset)`` (or ``count_many(itemsets)`` for a
+    group); the first request in an idle window schedules a drain on
+    the next event-loop tick, and every request that lands before the
+    drain runs joins the same batch.  The drain computes each distinct
+    itemset once, all waiters share the result, and the index counts
+    the distinct itemsets with one ``count_itemsets`` call.
     """
 
     def __init__(self, index):
@@ -203,8 +190,8 @@ class MicroBatcher:
         self.batches = 0
         self.requests = 0
         self.coalesced = 0       # requests answered by another request's work
-        self.slice_ands = 0      # slice ANDs actually performed
-        self.slice_ands_saved = 0  # ANDs avoided via shared prefixes
+        self.slice_ands = 0      # slice reads the index charged for the drains
+        self.slice_ands_saved = 0  # signature positions coalesced requests skipped
 
     def rebind(self, index) -> None:
         """Point the batcher at a replacement index object.
@@ -217,8 +204,18 @@ class MicroBatcher:
 
     async def count(self, itemset: tuple) -> int:
         """Estimated support of ``itemset`` (joins the current batch)."""
+        return await self._enqueue(itemset)
+
+    async def count_many(self, itemsets: list[tuple]) -> list[int]:
+        """Estimated supports of ``itemsets``, all in the same drain."""
+        futures = [self._enqueue(itemset) for itemset in itemsets]
+        return [await future for future in futures]
+
+    # -- internals ---------------------------------------------------------
+
+    def _enqueue(self, itemset: tuple) -> asyncio.Future:
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        future = loop.create_future()
         self.requests += 1
         waiters = self._pending.setdefault(itemset, [])
         if waiters:
@@ -227,68 +224,41 @@ class MicroBatcher:
         if not self._drain_scheduled:
             self._drain_scheduled = True
             loop.call_soon(self._drain)
-        return await future
-
-    # -- internals ---------------------------------------------------------
+        return future
 
     def _drain(self) -> None:
-        """Compute every pending itemset in one pass and resolve waiters."""
+        """Count every pending itemset in one pass and resolve waiters."""
         self._drain_scheduled = False
         pending, self._pending = self._pending, {}
         if not pending:
             return
         self.batches += 1
         try:
-            results = self._count_batch(sorted(pending))
+            counts = self._count_batch(list(pending))
         except Exception as exc:  # propagate to every waiter, once each
             for waiters in pending.values():
                 for future in waiters:
                     if not future.done():
                         future.set_exception(exc)
+                        # A group stops at its first failure; the rest
+                        # of its futures must not log as unretrieved.
+                        future.exception()
             return
-        for itemset, waiters in pending.items():
-            count = results[itemset]
+        family = self.index.hash_family
+        for (itemset, waiters), count in zip(pending.items(), counts):
+            if len(waiters) > 1:
+                width = family.itemset_positions(set(itemset)).size
+                self.slice_ands_saved += (len(waiters) - 1) * width
             for future in waiters:
                 if not future.done():
                     future.set_result(count)
 
-    def _count_batch(self, itemsets: list[tuple]) -> dict[tuple, int]:
-        index = self.index
-        if not hasattr(index, "and_positions_into"):
-            # DiskBBS path: no zero-copy accumulator hooks; dedup only.
-            return {itemset: index.count_itemset(itemset) for itemset in itemsets}
-        entries = sorted(
-            (tuple(int(p) for p in index.signature_positions(itemset)), itemset)
-            for itemset in itemsets
-        )
-        results: dict[tuple, int] = {}
-        # stack[d] = (position, accumulator after ANDing positions[:d+1]);
-        # consecutive entries share accumulators up to their common prefix.
-        stack: list[tuple[int, np.ndarray]] = []
-        for positions, itemset in entries:
-            depth = 0
-            while (
-                depth < len(stack)
-                and depth < len(positions)
-                and stack[depth][0] == positions[depth]
-            ):
-                depth += 1
-            del stack[depth:]
-            self.slice_ands_saved += depth
-            accumulator = stack[-1][1] if stack else None
-            for position in positions[depth:]:
-                pos_array = np.array([position], dtype=np.int64)
-                if accumulator is None:
-                    accumulator = index.fresh_accumulator()
-                    index.and_positions_into(accumulator, pos_array, accumulator)
-                else:
-                    extended = np.empty_like(accumulator)
-                    index.and_positions_into(accumulator, pos_array, extended)
-                    accumulator = extended
-                self.slice_ands += 1
-                stack.append((position, accumulator))
-            results[itemset] = bitvec.popcount(accumulator)
-        return results
+    def _count_batch(self, itemsets: list[tuple]) -> list[int]:
+        stats = self.index.stats
+        reads = stats.slice_reads
+        counts = self.index.count_itemsets(itemsets)
+        self.slice_ands += stats.slice_reads - reads
+        return counts
 
     def as_dict(self) -> dict:
         """Counter snapshot for the ``metrics`` endpoint."""

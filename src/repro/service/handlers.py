@@ -517,54 +517,69 @@ class PatternService(OpService):
     async def _op_count(self, args: dict) -> dict:
         """``CountItemSet`` with optional Probe-based exact refinement."""
         key = _itemset_arg(args)
-        want_exact = bool(args.get("exact", False))
-        epoch = self.index.epoch
-        estimate = self.cache.get(key, epoch)
-        cached = estimate is not None
-        if estimate is None:
-            estimate = await self.batcher.count(key)
-            # An append may have interleaved with the batched AND pass;
-            # only cache when the value is provably from this epoch.
-            if self.index.epoch == epoch:
-                self.cache.put(key, epoch, estimate)
-        result = {
-            "items": list(key),
-            "estimate": estimate,
-            "epoch": epoch,
-            "cached": cached,
-        }
-        if want_exact:
-            # The probe path is fully synchronous, so the epoch read and
-            # the probe are atomic with respect to appends.
-            exact_epoch = self.index.epoch
-            exact = self.cache.get(key, exact_epoch, exact=True)
-            if exact is None:
-                positions = self.index.candidate_positions(key)
-                exact = probe(self.database, frozenset(key), positions)
-                self.cache.put(key, exact_epoch, exact, exact=True)
-            result["exact"] = exact
-            result["epoch"] = exact_epoch
+        (result,) = await self._count_keys([key], bool(args.get("exact", False)))
         return result
 
     async def _op_count_batch(self, args: dict) -> dict:
         """Count many itemsets in one request (scatter-gather phase 2).
 
-        The sub-counts run concurrently on the event loop, so the
-        :class:`MicroBatcher` coalesces their slice reads into shared
-        AND passes — a router verifying hundreds of candidates pays a
-        handful of index sweeps, not one per itemset.
+        Every entry answers as a ``count`` of it would.  The whole batch
+        is validated before anything is counted.
         """
         want_exact = bool(args.get("exact", False))
-        # Validate the whole batch before counting anything: a malformed
-        # entry rejects the request instead of cancelling mid-gather.
-        sub_args = [
-            {"items": list(key), "exact": want_exact}
-            for key in _itemsets_arg(args)
-        ]
-        results = await asyncio.gather(
-            *(self._op_count(entry) for entry in sub_args)
-        )
-        return {"results": list(results), "epoch": self.index.epoch}
+        results = await self._count_keys(_itemsets_arg(args), want_exact)
+        return {"results": results, "epoch": self.index.epoch}
+
+    async def _count_keys(self, keys: list[tuple], want_exact: bool) -> list[dict]:
+        """One ``count`` answer per key, in order.
+
+        The cache misses go to the :class:`MicroBatcher` as one group,
+        so the index counts them in one pass, together with any other
+        counts that share the drain: a router verifying hundreds of
+        candidates pays one sweep, not one per itemset.
+        """
+        epoch = self.index.epoch
+        results = []
+        misses: dict[tuple, list[dict]] = {}
+        for key in keys:
+            estimate = self.cache.get(key, epoch)
+            result = {
+                "items": list(key),
+                "estimate": estimate,
+                "epoch": epoch,
+                "cached": estimate is not None,
+            }
+            results.append(result)
+            if estimate is None:
+                misses.setdefault(key, []).append(result)
+            elif want_exact:
+                self._refine_exact(key, result)
+        if misses:
+            estimates = await self.batcher.count_many(list(misses))
+            for (key, entries), estimate in zip(misses.items(), estimates):
+                # An append may have interleaved with the batched AND
+                # pass; only cache when the value is provably from this
+                # epoch.
+                if self.index.epoch == epoch:
+                    self.cache.put(key, epoch, estimate)
+                for result in entries:
+                    result["estimate"] = estimate
+                    if want_exact:
+                        self._refine_exact(key, result)
+        return results
+
+    def _refine_exact(self, key: tuple, result: dict) -> None:
+        """Add the Probe-refined exact count, and its epoch, to ``result``."""
+        # The probe path is fully synchronous, so the epoch read and
+        # the probe are atomic with respect to appends.
+        epoch = self.index.epoch
+        exact = self.cache.get(key, epoch, exact=True)
+        if exact is None:
+            positions = self.index.candidate_positions(key)
+            exact = probe(self.database, frozenset(key), positions)
+            self.cache.put(key, epoch, exact, exact=True)
+        result["exact"] = exact
+        result["epoch"] = epoch
 
     # -- append ------------------------------------------------------------
 

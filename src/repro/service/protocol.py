@@ -294,6 +294,17 @@ async def write_frame(writer: asyncio.StreamWriter, payload: dict) -> None:
     await writer.drain()
 
 
+def write_frame_nowait(writer: asyncio.StreamWriter, payload: dict) -> bool:
+    """Hand one frame to the transport; True while bytes stay buffered.
+
+    The transport sends at once whatever the socket accepts, so a
+    reader that keeps up leaves nothing behind and the caller need not
+    wait at all; on True it waits, bounded, for the buffer to drain.
+    """
+    writer.write(encode_frame(payload))
+    return writer.transport.get_write_buffer_size() > 0
+
+
 # -- blocking codec (client side) ------------------------------------------
 
 

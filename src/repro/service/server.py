@@ -67,7 +67,7 @@ from repro.service.protocol import (
     ok_frame,
     parse_request,
     read_frame,
-    write_frame,
+    write_frame_nowait,
 )
 
 DEFAULT_MAX_CONNECTIONS = 64
@@ -657,13 +657,22 @@ class PatternServer:
         await self._write_response(writer, response)
 
     async def _write_response(self, writer, response: dict) -> None:
-        """Write one frame, bounded — a stalled receiver loses the link."""
+        """Write one frame, bounded — a stalled receiver loses the link.
+
+        A frame the socket takes at once costs no task and no timer;
+        only bytes left in the transport's buffer are waited on, for at
+        most ``write_timeout``.
+        """
+        if not write_frame_nowait(writer, response):
+            return
         try:
-            await asyncio.wait_for(
-                write_frame(writer, response), timeout=self.write_timeout
-            )
+            await asyncio.wait_for(writer.drain(), timeout=self.write_timeout)
         except asyncio.TimeoutError:
             self.admission.note_stalled_write()
+            # Drop the buffered bytes too: a plain close would wait for
+            # them to flush, holding the socket for as long as the peer
+            # does not read.
+            writer.transport.abort()
             raise ConnectionError(
                 f"response write stalled past {self.write_timeout}s"
             ) from None

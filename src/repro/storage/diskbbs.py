@@ -660,6 +660,10 @@ class DiskBBS:
             total += self._tail.count_itemset(items)
         return total
 
+    def count_itemsets(self, itemsets) -> list[int]:
+        """``count_itemset`` per itemset; segment rows come from the page cache."""
+        return [self.count_itemset(items) for items in itemsets]
+
     def candidate_positions(self, items) -> np.ndarray:
         """Global candidate transaction positions (for probing)."""
         positions = self._positions(items)

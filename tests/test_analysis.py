@@ -1541,6 +1541,15 @@ class TestAckBeforeBarrier:
         """, self.PATH, "RPR013")
         assert not findings
 
+    def test_ack_through_the_nonblocking_frame_write_fires(self):
+        findings = check("""
+        async def op_append(self, record, writer):
+            self.journal.append(record)
+            if write_frame_nowait(writer, {"ok": True}):
+                await asyncio.wait_for(writer.drain(), timeout=1.0)
+        """, self.PATH, "RPR013")
+        assert len(findings) == 1
+
     def test_barrier_that_can_raise_into_an_acking_handler_fires(self):
         findings = check("""
         async def op_append(self, record, writer):

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import bitvec
-from repro.core.bbs import BBS
-from repro.core.hashing import MD5HashFamily, ModuloHashFamily
+from repro.core import bitvec, kernels
+from repro.core.bbs import BBS, COUNT_SCRATCH_BYTES
+from repro.core.hashing import (
+    MD5HashFamily,
+    ModuloHashFamily,
+    SuperimposedHashFamily,
+)
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigurationError, QueryError
 from tests.conftest import make_random_database
@@ -119,6 +123,94 @@ class TestCountItemSet:
         positions = small_bbs.signature_positions([3])
         small_bbs.count_itemset([3])
         assert small_bbs.stats.slice_reads == positions.size
+
+
+BACKENDS = ["numpy"] + (["native"] if kernels.native_available() else [])
+
+
+def _index(kind: str, m: int, n_base: int, n_insert: int, seed: int) -> BBS:
+    """Random slice bits for ``n_base`` transactions, then real inserts.
+
+    The random base makes large indexes cheap; starting from a raw state
+    whose capacity it fills, the inserts grow the slice matrix.
+    """
+    family = {
+        "md5": lambda: MD5HashFamily(m, 3),
+        "folded": lambda: MD5HashFamily(m, 3),
+        "modulo": lambda: ModuloHashFamily(m),
+        "superimposed": lambda: SuperimposedHashFamily(m, 3),
+    }[kind]()
+    rng = np.random.default_rng(seed)
+    words = bitvec.words_for_bits(n_base)
+    slices = rng.integers(0, 2**64, size=(m, words), dtype=np.uint64)
+    slices &= rng.integers(0, 2**64, size=(m, words), dtype=np.uint64)
+    if n_base % 64:
+        slices[:, -1] &= np.uint64((1 << (n_base % 64)) - 1)
+    index = BBS._from_raw_state(family, slices, n_base, {})
+    for _ in range(n_insert):
+        index.insert(rng.choice(60, size=int(rng.integers(1, 8))).tolist())
+    return index.fold(max(1, m // 3)) if kind == "folded" else index
+
+
+def _batched_equals_single(index: BBS, batch: list) -> None:
+    reads = index.stats.slice_reads
+    singles = [index.count_itemset(items) for items in batch]
+    single_reads = index.stats.slice_reads - reads
+    batched = index.count_itemsets(batch)
+    assert batched == singles
+    assert all(type(count) is int for count in batched)
+    assert index.stats.slice_reads - reads == 2 * single_reads
+
+
+class TestCountItemsets:
+    """``count_itemsets`` is ``count_itemset`` per itemset, in one pass."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["md5", "modulo", "superimposed", "folded"]),
+        m=st.sampled_from([16, 64, 200]),
+        n_base=st.integers(0, 3000) | st.sampled_from([0, 64, 1024, 40_000]),
+        n_insert=st.integers(0, 1100),
+        seed=st.integers(0, 2**16),
+        batch=st.lists(
+            st.lists(st.integers(0, 60), min_size=1, max_size=6), max_size=40
+        ),
+        repeats=st.integers(0, 4),
+    )
+    @example(kind="md5", m=16, n_base=0, n_insert=0, seed=0,
+             batch=[[1], [2, 3]], repeats=0)  # empty index
+    @example(kind="modulo", m=64, n_base=1024, n_insert=70, seed=1,
+             batch=[[5], [5, 69], [7, 8, 9]], repeats=1)  # growth by insert
+    @example(kind="md5", m=200, n_base=40_000, n_insert=3, seed=2,
+             batch=[[i, i + 1, i + 7] for i in range(40)], repeats=2)  # chunks
+    def test_matches_count_itemset(
+        self, backend, kind, m, n_base, n_insert, seed, batch, repeats
+    ):
+        before = bitvec.active_kernel_backend()
+        try:
+            assert bitvec.set_kernel_backend(backend) == backend
+            index = _index(kind, m, n_base, n_insert, seed)
+            _batched_equals_single(index, batch + batch[:repeats])
+        finally:
+            bitvec.set_kernel_backend(before)
+
+    def test_the_chunk_example_spans_several_chunks(self):
+        index = _index("md5", 200, 40_000, 3, seed=2)
+        batch = [[i, i + 1, i + 7] for i in range(40)]
+        width = max(index.signature_positions(x).size for x in batch)
+        per_chunk = COUNT_SCRATCH_BYTES // (width * index.n_words * 8)
+        assert 1 <= per_chunk and len(batch) >= 3 * per_chunk
+        _batched_equals_single(index, batch)
+
+    def test_empty_itemset_rejected_before_counting(self, small_bbs):
+        small_bbs.stats.reset()
+        with pytest.raises(QueryError):
+            small_bbs.count_itemsets([[1], []])
+        assert small_bbs.stats.slice_reads == 0
+
+    def test_empty_batch(self, small_bbs):
+        assert small_bbs.count_itemsets([]) == []
 
 
 class TestAccumulatorPath:

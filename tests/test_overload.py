@@ -18,7 +18,9 @@ PR 9's contract (DESIGN.md §11) in test form:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import random
+import socket
 import threading
 import time
 
@@ -36,8 +38,10 @@ from repro.service.handlers import PatternService
 from repro.service.protocol import (
     CURRENT_DEADLINE,
     Deadline,
+    encode_frame,
     parse_request,
     read_frame,
+    request_frame,
     write_frame,
 )
 from repro.service.resilience import AIMDLimiter, RetryingClient, RetryPolicy
@@ -360,6 +364,60 @@ class TestServerOverload:
                 assert expired["pre_dispatch"] >= 1
         # Refused unstarted: the handler never saw the op.
         assert service.request_counts.get("count", 0) == 0
+
+    def test_a_receiver_that_never_reads_is_cut_off_at_the_write_timeout(self):
+        _, service = make_service()
+        write_timeout = 0.5
+        batch = {"itemsets": [[i % 30, (i * 7 + 1) % 30] for i in range(1024)]}
+        # About 56 KB per response: 200 of them overrun every buffer
+        # between the server's transport and a 4 KB receive window.
+        frames = b"".join(
+            encode_frame(request_frame(i, "count_batch", batch)) for i in range(200)
+        )
+        with start_server_thread(service, write_timeout=write_timeout) as handle:
+            server = handle.server
+            stalled = socket.socket()
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stalled.settimeout(30.0)
+            stalled.connect(("127.0.0.1", handle.port))
+
+            def pipeline():
+                with contextlib.suppress(OSError):
+                    stalled.sendall(frames)  # fails once the server cuts us off
+
+            sender = threading.Thread(target=pipeline, daemon=True)
+            sender.start()
+            try:
+                answered, last_progress = 0, time.monotonic()
+                deadline = last_progress + 30.0
+                while server.admission.stalled_writes == 0:
+                    assert time.monotonic() < deadline, "the stalled write never timed out"
+                    now_answered = service.request_counts.get("count_batch", 0)
+                    if now_answered != answered:
+                        answered, last_progress = now_answered, time.monotonic()
+                    time.sleep(0.01)
+                cut_after = time.monotonic() - last_progress
+                assert 0 < answered < 200
+                # The last answer that went out is where the write stalled.
+                assert cut_after < write_timeout + 1.0
+                while server.active_connections:
+                    assert time.monotonic() < deadline, "the stalled link was kept"
+                    time.sleep(0.01)
+                # Cut off, not closed politely: the server dropped what it
+                # had buffered, so only what already sat in this socket's
+                # small receive window arrives before the reset.
+                leftover = 0
+                with contextlib.suppress(OSError):
+                    while chunk := stalled.recv(65536):
+                        leftover += len(chunk)
+                assert leftover < 64 * 1024
+                with ServiceClient("127.0.0.1", handle.port) as client:
+                    overload = client.request("metrics", {})["overload"]
+                    assert overload["stalled_writes"] == 1
+                    assert "estimate" in client.request("count", {"items": [1]})
+            finally:
+                stalled.close()
+                sender.join(timeout=10.0)
 
     def test_status_and_metrics_expose_the_load_section(self):
         _, service = make_service()

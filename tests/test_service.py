@@ -31,7 +31,11 @@ from repro.data.database import TransactionDatabase
 from repro.errors import QueryError, ServiceError, ServiceProtocolError
 from repro.service.cache import CountCache, MicroBatcher, canonical_itemset
 from repro.service.client import ServiceClient
-from repro.service.handlers import LatencyHistogram, PatternService
+from repro.service.handlers import (
+    MAX_COUNT_BATCH,
+    LatencyHistogram,
+    PatternService,
+)
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     decode_payload,
@@ -193,13 +197,18 @@ class TestMicroBatcher:
         for itemset, count in zip(itemsets, counts):
             assert count == small_bbs.count_itemset(itemset)
 
-    def test_shared_prefixes_skip_slice_ands(self):
-        # h(x) = x mod m makes signature positions predictable: {1} has
-        # positions (1,) and {1, 2} has (1, 2), so the second query must
-        # reuse the first's accumulator instead of re-ANDing slice 1.
+    def test_concurrent_counts_share_one_count_itemsets_call(self, monkeypatch):
         bbs = BBS(16, hash_family=ModuloHashFamily(16))
         for tx in ([1, 2], [1, 3], [2, 3], [1, 2, 3]):
             bbs.insert(tx)
+        calls = []
+        original = bbs.count_itemsets
+
+        def spy(itemsets):
+            calls.append(list(itemsets))
+            return original(itemsets)
+
+        monkeypatch.setattr(bbs, "count_itemsets", spy)
         batcher = MicroBatcher(bbs)
 
         async def fan_out():
@@ -213,9 +222,28 @@ class TestMicroBatcher:
             bbs.count_itemset([1, 2]),
             bbs.count_itemset([1, 3]),
         ]
-        # (1,) costs 1 AND; (1,2) reuses it (+1); (1,3) reuses it (+1).
-        assert batcher.slice_ands == 3
-        assert batcher.slice_ands_saved == 2
+        assert batcher.batches == 1
+        assert calls == [[(1,), (1, 2), (1, 3)]]
+        # h(x) = x mod 16: one signature position per item.
+        assert batcher.slice_ands == 5
+        assert batcher.slice_ands_saved == 0
+
+    def test_a_group_shares_the_drain_with_single_counts(self, small_bbs):
+        batcher = MicroBatcher(small_bbs)
+        group = [canonical_itemset(items) for items in ([1], [2, 3], [4, 5])]
+
+        async def fan_out():
+            return await asyncio.gather(
+                batcher.count(group[1]), batcher.count_many(group)
+            )
+
+        single, many = asyncio.run(fan_out())
+        assert many == [small_bbs.count_itemset(items) for items in group]
+        assert single == many[1]
+        assert batcher.batches == 1
+        assert (batcher.requests, batcher.coalesced) == (4, 1)
+        width = small_bbs.signature_positions(group[1]).size
+        assert batcher.slice_ands_saved == width
 
 
 class TestLatencyHistogram:
@@ -600,6 +628,94 @@ class TestSigtermSubprocess:
                 proc.communicate()
         assert proc.returncode == 0, out
         assert "drained after" in out
+
+
+class TestCountBatch:
+    """``count_batch`` on one node: every entry answers like ``count``."""
+
+    def test_entries_equal_single_counts(self, served):
+        db, _, _, handle = served
+        itemsets = [[1, 2], [3], [2, 4, 6], [7, 11], [5, 9]]
+        with ServiceClient(handle.host, handle.port) as client:
+            batch = client.count_batch(itemsets, exact=True)
+            assert len(batch["results"]) == len(itemsets)
+            for items, entry in zip(itemsets, batch["results"]):
+                alone = client.count(items, exact=True)
+                assert entry["items"] == alone["items"]
+                for key in ("estimate", "exact", "epoch"):
+                    assert entry[key] == alone[key]
+                assert entry["exact"] == db.support(items)
+
+    def test_duplicates_inside_one_batch(self, served):
+        _, bbs, service, handle = served
+        with ServiceClient(handle.host, handle.port) as client:
+            batch = client.count_batch([[2, 4], [1], [4, 2], [2, 4]])
+        first, other, *dups = batch["results"]
+        assert all(entry == first for entry in dups)
+        assert first["cached"] is False
+        assert first["estimate"] == bbs.count_itemset([2, 4])
+        assert other["estimate"] == bbs.count_itemset([1])
+        # The two distinct itemsets went to the batcher, once each.
+        assert service.batcher.requests == 2
+
+    def test_mixed_item_types_in_one_batch(self):
+        db = TransactionDatabase([[1, "a"], [1, 2], ["a", "b"], [2, "b"]])
+        bbs = BBS.from_database(db, m=64)
+        service = PatternService(db, bbs)
+        with start_server_thread(service) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                batch = client.count_batch([[1], ["a"], [2, "b"]], exact=True)
+        assert [entry["exact"] for entry in batch["results"]] == [2, 2, 1]
+        assert [entry["estimate"] for entry in batch["results"]] == [
+            bbs.count_itemset(items) for items in ([1], ["a"], [2, "b"])
+        ]
+
+    def test_repeated_batch_is_cached(self, served):
+        _, _, _, handle = served
+        itemsets = [[1, 2], [3, 5], [8]]
+        with ServiceClient(handle.host, handle.port) as client:
+            first = client.count_batch(itemsets)
+            again = client.count_batch(itemsets)
+        assert [e["cached"] for e in first["results"]] == [False] * 3
+        assert [e["cached"] for e in again["results"]] == [True] * 3
+        assert [e["estimate"] for e in again["results"]] == [
+            e["estimate"] for e in first["results"]
+        ]
+        assert again["epoch"] == first["epoch"]
+
+    def test_one_invalid_entry_rejects_the_whole_batch(self, served):
+        _, _, service, handle = served
+        with ServiceClient(handle.host, handle.port) as client:
+            for bad in ([1, 2], []), ([1], [1.5]), ([3], "4"):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.request("count_batch", {"itemsets": list(bad)})
+                assert excinfo.value.error_type == "bad_request"
+        assert service.batcher.requests == 0
+        assert (service.cache.hits, service.cache.misses) == (0, 0)
+
+    def test_the_per_request_cap(self, served):
+        _, _, _, handle = served
+        cap = [[i % 30, (i * 7) % 30] for i in range(MAX_COUNT_BATCH)]
+        with ServiceClient(handle.host, handle.port) as client:
+            assert len(client.count_batch(cap)["results"]) == MAX_COUNT_BATCH
+            with pytest.raises(ServiceError) as excinfo:
+                client.count_batch(cap + [[1]])
+            assert excinfo.value.error_type == "bad_request"
+
+    def test_append_between_batches_moves_epoch_and_estimates(self, served):
+        _, _, _, handle = served
+        with ServiceClient(handle.host, handle.port) as client:
+            before = client.count_batch([[2, 4], [3]])
+            client.append([2, 4])
+            after = client.count_batch([[2, 4], [3]])
+        assert after["epoch"] == before["epoch"] + 1
+        (pair_before, _), (pair_after, single_after) = (
+            before["results"], after["results"]
+        )
+        assert pair_after["cached"] is False
+        assert pair_after["epoch"] == after["epoch"]
+        assert pair_after["estimate"] == pair_before["estimate"] + 1
+        assert single_after["cached"] is False
 
 
 class TestServiceDirect:
