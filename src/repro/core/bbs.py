@@ -237,7 +237,12 @@ class BBS:
         are gathered from the slice matrix in chunks of at most
         :data:`COUNT_SCRATCH_BYTES`, AND-reduced along the position axis
         and counted with one :func:`~repro.core.bitvec.row_popcount`.
+        A single itemset takes :meth:`count_itemset`'s AND chain, which
+        costs less than a gather for one row.
         """
+        itemsets = list(itemsets)
+        if len(itemsets) == 1:
+            return [self.count_itemset(itemsets[0])]
         rows = [self.signature_positions(items) for items in itemsets]
         widths = np.array([row.size for row in rows], dtype=np.int64)
         self.stats.slice_reads += int(widths.sum())

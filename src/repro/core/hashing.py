@@ -91,7 +91,12 @@ class HashFamily:
             return np.empty(0, dtype=np.int64)
         if len(arrays) == 1:
             return arrays[0]
-        merged = np.unique(np.concatenate(arrays))
+        # A set union of the small cached arrays costs less than
+        # ``np.unique(np.concatenate(...))`` for the few items of an itemset.
+        union: set[int] = set()
+        for array in arrays:
+            union.update(array.tolist())
+        merged = np.array(sorted(union), dtype=np.int64)
         merged.setflags(write=False)
         return merged
 

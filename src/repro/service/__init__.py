@@ -8,8 +8,8 @@ concurrent clients over a tiny length-prefixed JSON protocol:
 * :mod:`repro.service.protocol` — wire frames (requests, responses,
   typed errors) plus sync and asyncio codecs;
 * :mod:`repro.service.cache` — the epoch-keyed LRU result cache and
-  the micro-batcher that coalesces concurrent ``count`` requests into
-  one shared-prefix AND pass;
+  the batcher that counts one request's cache misses in one
+  vectorised AND pass;
 * :mod:`repro.service.handlers` — the operations (``count``,
   ``append``, ``mine`` jobs, ``status``/``metrics``/``health``) bound
   to a resident database + index;

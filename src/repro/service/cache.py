@@ -1,6 +1,6 @@
-"""Result caching and request coalescing for the serving layer.
+"""Result caching and batched counting for the serving layer.
 
-Two mechanisms keep a hot ``count`` workload off the index:
+Three mechanisms keep a hot ``count`` workload off the index:
 
 * :class:`CountCache` — an LRU keyed by ``(canonical itemset, epoch,
   exact)``.  Because the index's :attr:`~repro.core.bbs.BBS.epoch` is
@@ -16,19 +16,18 @@ Two mechanisms keep a hot ``count`` workload off the index:
   ``degraded_load``, with honest staleness) instead of queueing
   another full mine it cannot afford.
 
-* :class:`MicroBatcher` — coalesces ``count`` requests that arrive in
-  the same event-loop window into one drain.  Duplicate itemsets
-  collapse to a single computation, and the distinct itemsets are
-  counted in one vectorised pass (:meth:`~repro.core.bbs.BBS.count_itemsets`:
-  one gather of their slice rows, an AND-reduce and a row popcount,
-  with scratch memory bounded at 256 KiB).  A
-  :class:`~repro.storage.diskbbs.DiskBBS` still counts per itemset
-  through its page cache.
+* :class:`MicroBatcher` — counts one request's cache misses on the
+  request's own task: duplicate itemsets collapse to one computation,
+  and the distinct ones are counted in one vectorised pass
+  (:meth:`~repro.core.bbs.BBS.count_itemsets`: one gather of their
+  slice rows, an AND-reduce and a row popcount, with scratch memory
+  bounded at 256 KiB; a single itemset takes the plain AND and
+  popcount).  A :class:`~repro.storage.diskbbs.DiskBBS` still counts
+  per itemset through its page cache.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import OrderedDict
 
@@ -172,86 +171,39 @@ class MineResultCache:
 
 
 class MicroBatcher:
-    """Coalesce concurrent ``count`` requests into one counting pass.
+    """Count one request's cache misses in one pass, and keep counters.
 
-    Callers ``await count(itemset)`` (or ``count_many(itemsets)`` for a
-    group); the first request in an idle window schedules a drain on
-    the next event-loop tick, and every request that lands before the
-    drain runs joins the same batch.  The drain computes each distinct
-    itemset once, all waiters share the result, and the index counts
-    the distinct itemsets with one ``count_itemsets`` call.
+    :meth:`count` runs on the request's own task and hands the distinct
+    itemsets to the index's ``count_itemsets`` in one call; nothing
+    waits for a later loop tick.  Counts are not shared across
+    requests: in traced ``query`` and ``sharded`` benchmark runs, at
+    most 3 in 67,061 cache misses met another request's in one tick.
     """
 
     def __init__(self, index):
         self.index = index
-        self._pending: dict[tuple, list[asyncio.Future]] = {}
-        self._drain_scheduled = False
-        # -- metrics ---------------------------------------------------
-        self.batches = 0
-        self.requests = 0
-        self.coalesced = 0       # requests answered by another request's work
-        self.slice_ands = 0      # slice reads the index charged for the drains
-        self.slice_ands_saved = 0  # signature positions coalesced requests skipped
+        # -- metrics (docs/wire_protocol.md, "batch") ------------------
+        self.batches = 0         # count_itemsets calls, one per request with a miss
+        self.requests = 0        # cache-missing itemsets, duplicates included
+        self.coalesced = 0       # duplicates answered by the same request's count
+        self.slice_ands = 0      # slice reads the index charged for the batches
+        self.slice_ands_saved = 0  # signature positions the duplicates skipped
 
-    def rebind(self, index) -> None:
-        """Point the batcher at a replacement index object.
+    def count(self, misses: dict[tuple, list]) -> list[int]:
+        """Estimated support of each key of ``misses``, in one pass.
 
-        Used after a quarantine-and-salvage swap; counters carry over,
-        and pending waiters (resolved against whichever object the next
-        drain reads from ``self.index``) see only the fresh store.
+        ``misses`` maps each distinct itemset to the request's entries
+        that asked for it; all but the first of them are coalesced.
         """
-        self.index = index
-
-    async def count(self, itemset: tuple) -> int:
-        """Estimated support of ``itemset`` (joins the current batch)."""
-        return await self._enqueue(itemset)
-
-    async def count_many(self, itemsets: list[tuple]) -> list[int]:
-        """Estimated supports of ``itemsets``, all in the same drain."""
-        futures = [self._enqueue(itemset) for itemset in itemsets]
-        return [await future for future in futures]
-
-    # -- internals ---------------------------------------------------------
-
-    def _enqueue(self, itemset: tuple) -> asyncio.Future:
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self.requests += 1
-        waiters = self._pending.setdefault(itemset, [])
-        if waiters:
-            self.coalesced += 1
-        waiters.append(future)
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            loop.call_soon(self._drain)
-        return future
-
-    def _drain(self) -> None:
-        """Count every pending itemset in one pass and resolve waiters."""
-        self._drain_scheduled = False
-        pending, self._pending = self._pending, {}
-        if not pending:
-            return
         self.batches += 1
-        try:
-            counts = self._count_batch(list(pending))
-        except Exception as exc:  # propagate to every waiter, once each
-            for waiters in pending.values():
-                for future in waiters:
-                    if not future.done():
-                        future.set_exception(exc)
-                        # A group stops at its first failure; the rest
-                        # of its futures must not log as unretrieved.
-                        future.exception()
-            return
         family = self.index.hash_family
-        for (itemset, waiters), count in zip(pending.items(), counts):
-            if len(waiters) > 1:
+        for itemset, entries in misses.items():
+            self.requests += len(entries)
+            if len(entries) > 1:
                 width = family.itemset_positions(set(itemset)).size
-                self.slice_ands_saved += (len(waiters) - 1) * width
-            for future in waiters:
-                if not future.done():
-                    future.set_result(count)
+                self.coalesced += len(entries) - 1
+                self.slice_ands_saved += (len(entries) - 1) * width
+        return self._count_batch(list(misses))
 
     def _count_batch(self, itemsets: list[tuple]) -> list[int]:
         stats = self.index.stats

@@ -508,7 +508,7 @@ class PatternService(OpService):
         # and in-flight jobs were keyed against the old object's epochs.
         fresh._epoch = old_epoch + 1
         self.index = fresh
-        self.batcher.rebind(fresh)
+        self.batcher.index = fresh
         self.cache.clear()  # entries may have been computed from bad bytes
         return report
 
@@ -517,7 +517,7 @@ class PatternService(OpService):
     async def _op_count(self, args: dict) -> dict:
         """``CountItemSet`` with optional Probe-based exact refinement."""
         key = _itemset_arg(args)
-        (result,) = await self._count_keys([key], bool(args.get("exact", False)))
+        (result,) = self._count_keys([key], bool(args.get("exact", False)))
         return result
 
     async def _op_count_batch(self, args: dict) -> dict:
@@ -527,16 +527,16 @@ class PatternService(OpService):
         is validated before anything is counted.
         """
         want_exact = bool(args.get("exact", False))
-        results = await self._count_keys(_itemsets_arg(args), want_exact)
+        results = self._count_keys(_itemsets_arg(args), want_exact)
         return {"results": results, "epoch": self.index.epoch}
 
-    async def _count_keys(self, keys: list[tuple], want_exact: bool) -> list[dict]:
-        """One ``count`` answer per key, in order.
+    def _count_keys(self, keys: list[tuple], want_exact: bool) -> list[dict]:
+        """One ``count`` answer per key, in order, without suspending.
 
-        The cache misses go to the :class:`MicroBatcher` as one group,
-        so the index counts them in one pass, together with any other
-        counts that share the drain: a router verifying hundreds of
-        candidates pays one sweep, not one per itemset.
+        The distinct cache misses are counted in one pass
+        (:meth:`MicroBatcher.count`), so a router verifying hundreds of
+        candidates pays one sweep, not one per itemset.  Nothing here
+        awaits, so no append can move the epoch in between.
         """
         epoch = self.index.epoch
         results = []
@@ -555,13 +555,9 @@ class PatternService(OpService):
             elif want_exact:
                 self._refine_exact(key, result)
         if misses:
-            estimates = await self.batcher.count_many(list(misses))
+            estimates = self.batcher.count(misses)
             for (key, entries), estimate in zip(misses.items(), estimates):
-                # An append may have interleaved with the batched AND
-                # pass; only cache when the value is provably from this
-                # epoch.
-                if self.index.epoch == epoch:
-                    self.cache.put(key, epoch, estimate)
+                self.cache.put(key, epoch, estimate)
                 for result in entries:
                     result["estimate"] = estimate
                     if want_exact:

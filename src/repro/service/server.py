@@ -483,6 +483,8 @@ class PatternServer:
         self._drain_event: asyncio.Event | None = None
         self._drained = False
         self._connections: set[asyncio.Task] = set()
+        #: Connections waiting for their next request: reader -> writer.
+        self._idle: dict[asyncio.StreamReader, asyncio.StreamWriter] = {}
         self.active_connections = 0
         service.shutdown_callback = self.request_shutdown
 
@@ -523,6 +525,21 @@ class PatternServer:
             self._server.close()
         if self._drain_event is not None:
             self._drain_event.set()
+            # End idle reads two ticks on, so that a request the loop
+            # reads off an idle socket meanwhile, such as one sent right
+            # after SIGTERM, is still answered.
+            loop = asyncio.get_running_loop()
+            loop.call_soon(loop.call_soon, self._end_idle_reads)
+
+    def _end_idle_reads(self) -> None:
+        """End every idle connection's wait for its next request.
+
+        Pausing also drops a read callback already queued, so no bytes
+        follow the EOF; bytes already in a reader are read first.
+        """
+        for reader, writer in self._idle.items():
+            writer.transport.pause_reading()
+            reader.feed_eof()
 
     async def wait_drained(self) -> None:
         """Resolve once a drain was requested and every request finished."""
@@ -537,7 +554,7 @@ class PatternServer:
             task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await task
-        if self._connections:
+        while self._connections:
             await asyncio.gather(*list(self._connections), return_exceptions=True)
         if self._server is not None:
             with contextlib.suppress(OSError):
@@ -560,25 +577,28 @@ class PatternServer:
     # -- connection handling ---------------------------------------------------
 
     async def _on_connection(self, reader, writer) -> None:
+        # Refused connections are tracked too, so the drain waits until
+        # every accepted socket is closed.
         task = asyncio.current_task()
-        if self._draining:
-            await self._refuse(writer, ERR_SHUTTING_DOWN, "server is draining")
-            return
-        if self.active_connections >= self.max_connections:
-            self.admission.note_connection_shed()
-            await self._refuse(
-                writer,
-                ERR_OVERLOADED,
-                f"connection limit of {self.max_connections} reached",
-                retry_after=1.0,
-            )
-            return
-        self.active_connections += 1
         self._connections.add(task)
         try:
-            await self._serve_connection(reader, writer)
+            if self._draining:
+                await self._refuse(writer, ERR_SHUTTING_DOWN, "server is draining")
+            elif self.active_connections >= self.max_connections:
+                self.admission.note_connection_shed()
+                await self._refuse(
+                    writer,
+                    ERR_OVERLOADED,
+                    f"connection limit of {self.max_connections} reached",
+                    retry_after=1.0,
+                )
+            else:
+                self.active_connections += 1
+                try:
+                    await self._serve_connection(reader, writer)
+                finally:
+                    self.active_connections -= 1
         finally:
-            self.active_connections -= 1
             self._connections.discard(task)
             await self._close_writer(writer)
 
@@ -602,43 +622,33 @@ class PatternServer:
                 writer,
                 error_frame(-1, error_type, message, retry_after=retry_after),
             )
-        await self._close_writer(writer)
 
     async def _serve_connection(self, reader, writer) -> None:
-        """One request/response loop; exits on EOF, drain, or bad frame."""
-        while True:
-            read_task = asyncio.ensure_future(read_frame(reader))
-            drain_task = asyncio.ensure_future(self._drain_event.wait())
-            done, _ = await asyncio.wait(
-                {read_task, drain_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if read_task not in done:
-                # Drain began while this connection sat idle: close it.
-                read_task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await read_task
-                return
-            drain_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await drain_task
+        """One request/response loop; exits on EOF, drain, or bad frame.
+
+        Between requests the connection waits in ``read_frame`` on its
+        own task; a drain ends that wait (:meth:`_end_idle_reads`).
+        """
+        while not self._draining:
+            self._idle[reader] = writer
             try:
-                payload = read_task.result()
+                payload = await read_frame(reader)
             except ServiceProtocolError as exc:
-                with contextlib.suppress(ConnectionError, OSError):
-                    await self._write_response(
-                        writer, error_frame(-1, "protocol", str(exc))
-                    )
+                if not self._draining:  # a drain's EOF cut it, not the peer
+                    with contextlib.suppress(ConnectionError, OSError):
+                        await self._write_response(
+                            writer, error_frame(-1, "protocol", str(exc))
+                        )
                 return
             except (ConnectionError, OSError):
                 return
+            finally:
+                del self._idle[reader]
             if payload is None:  # clean EOF between frames
                 return
             try:
                 await self._answer(writer, payload)
             except (ConnectionError, OSError):
-                return
-            if self._draining:
-                # The in-flight request was answered; now close.
                 return
 
     async def _answer(self, writer, payload: dict) -> None:

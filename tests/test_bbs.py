@@ -126,6 +126,7 @@ class TestCountItemSet:
 
 
 BACKENDS = ["numpy"] + (["native"] if kernels.native_available() else [])
+ITEMSET = st.lists(st.integers(0, 60), min_size=1, max_size=6)
 
 
 def _index(kind: str, m: int, n_base: int, n_insert: int, seed: int) -> BBS:
@@ -173,13 +174,16 @@ class TestCountItemsets:
         n_base=st.integers(0, 3000) | st.sampled_from([0, 64, 1024, 40_000]),
         n_insert=st.integers(0, 1100),
         seed=st.integers(0, 2**16),
-        batch=st.lists(
-            st.lists(st.integers(0, 60), min_size=1, max_size=6), max_size=40
-        ),
+        # One-itemset batches take count_itemset's path; draw them often.
+        batch=st.lists(ITEMSET, min_size=1, max_size=1) | st.lists(ITEMSET, max_size=40),
         repeats=st.integers(0, 4),
     )
     @example(kind="md5", m=16, n_base=0, n_insert=0, seed=0,
              batch=[[1], [2, 3]], repeats=0)  # empty index
+    @example(kind="folded", m=200, n_base=3000, n_insert=5, seed=3,
+             batch=[[4, 9, 17]], repeats=0)  # one itemset
+    @example(kind="superimposed", m=64, n_base=0, n_insert=0, seed=4,
+             batch=[[8]], repeats=0)  # one itemset, empty index
     @example(kind="modulo", m=64, n_base=1024, n_insert=70, seed=1,
              batch=[[5], [5, 69], [7, 8, 9]], repeats=1)  # growth by insert
     @example(kind="md5", m=200, n_base=40_000, n_insert=3, seed=2,

@@ -4,13 +4,15 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bbs import _FoldedHashFamily
 from repro.core.hashing import (
     HashFamily,
     MD5HashFamily,
     ModuloHashFamily,
+    SuperimposedHashFamily,
     family_from_description,
 )
 from repro.errors import ConfigurationError
@@ -107,6 +109,32 @@ class TestItemsetPositions:
         assert np.array_equal(
             family.itemset_positions(["only"]), family.positions("only")
         )
+
+
+FAMILIES = {
+    "md5": lambda m: MD5HashFamily(m, 3),
+    "modulo": ModuloHashFamily,
+    "superimposed": lambda m: SuperimposedHashFamily(m, 3),
+    "folded": lambda m: _FoldedHashFamily(MD5HashFamily(m, 4), max(1, m // 3)),
+}
+
+
+class TestItemsetPositionsProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(FAMILIES)),
+        m=st.sampled_from([5, 64, 800]),
+        items=st.lists(st.integers(0, 400), max_size=8),
+    )
+    def test_equals_numpy_unique_of_the_item_positions(self, kind, m, items):
+        family = FAMILIES[kind](m)
+        merged = family.itemset_positions(items)
+        arrays = [family.positions(item) for item in items]
+        expected = np.unique(np.concatenate(arrays)) if arrays else np.empty(0)
+        assert merged.dtype == np.int64
+        assert merged.tolist() == expected.tolist()
+        if items:
+            assert not merged.flags.writeable
 
 
 class TestModuloFamily:

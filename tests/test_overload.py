@@ -583,6 +583,8 @@ class TestDeadlineAcrossTheRouterHop:
                 await write_frame(
                     writer, {"id": frame["id"], "ok": True, "result": {}}
                 )
+                writer.close()
+                await writer.wait_closed()
 
             server = await asyncio.start_server(stub_shard, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
@@ -613,6 +615,8 @@ class TestDeadlineAcrossTheRouterHop:
                 await write_frame(
                     writer, {"id": frame["id"], "ok": True, "result": {}}
                 )
+                writer.close()
+                await writer.wait_closed()
 
             server = await asyncio.start_server(stub_shard, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]

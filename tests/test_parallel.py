@@ -29,6 +29,27 @@ from tests.conftest import make_random_database
 MIN_SUPPORT = 0.05
 
 
+def _wait_until_exited(pid: int, timeout: float = 10.0) -> None:
+    """Wait for a signalled child to exit (a zombie or reaped).
+
+    SIGKILL lands asynchronously, and tearing down a worker forked from
+    a large test process takes a while; a mine started before then can
+    finish on the surviving worker without ever seeing the death.
+    """
+    import time
+
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X"):
+                    return
+        except OSError:
+            return  # already reaped
+        time.sleep(0.005)
+    raise AssertionError(f"worker {pid} still running {timeout}s after SIGKILL")
+
+
 def pattern_items(result):
     """The full observable pattern surface: order, counts, exactness."""
     return [
@@ -354,6 +375,7 @@ class TestPersistentPool:
         assert os.path.exists(shm_path)
         victim = first.parallel_info["worker_pids"][0]
         os.kill(victim, signal.SIGKILL)
+        _wait_until_exited(victim)
         with pytest.raises(ParallelExecutionError):
             mine(db, bbs, MIN_SUPPORT, "dfp", workers=2)
         # The broken session tore down completely: no shm leak, no

@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.bbs import BBS
-from repro.core.hashing import ModuloHashFamily
 from repro.core.incremental import IncrementalMiner
 from repro.core.mining import mine
 from repro.data.database import TransactionDatabase
@@ -168,39 +167,10 @@ class TestCountCache:
 
 
 class TestMicroBatcher:
-    def test_duplicate_requests_coalesce(self, small_db, small_bbs):
-        batcher = MicroBatcher(small_bbs)
-        key = canonical_itemset([3, 5])
+    """One request's cache misses, counted on the request's own task."""
 
-        async def fan_out():
-            return await asyncio.gather(*[batcher.count(key) for _ in range(10)])
-
-        counts = asyncio.run(fan_out())
-        assert counts == [small_bbs.count_itemset(key)] * 10
-        assert batcher.requests == 10
-        assert batcher.coalesced == 9
-        assert batcher.batches == 1
-
-    def test_mixed_batch_matches_direct_counts(self, small_db, small_bbs):
-        itemsets = [
-            canonical_itemset(items)
-            for items in ([1], [1, 2], [2, 3], [4], [1, 2, 3], [9, 11])
-        ]
-
-        async def fan_out():
-            return await asyncio.gather(
-                *[batcher.count(itemset) for itemset in itemsets]
-            )
-
-        batcher = MicroBatcher(small_bbs)
-        counts = asyncio.run(fan_out())
-        for itemset, count in zip(itemsets, counts):
-            assert count == small_bbs.count_itemset(itemset)
-
-    def test_concurrent_counts_share_one_count_itemsets_call(self, monkeypatch):
-        bbs = BBS(16, hash_family=ModuloHashFamily(16))
-        for tx in ([1, 2], [1, 3], [2, 3], [1, 2, 3]):
-            bbs.insert(tx)
+    @staticmethod
+    def _spy(monkeypatch, bbs):
         calls = []
         original = bbs.count_itemsets
 
@@ -209,41 +179,68 @@ class TestMicroBatcher:
             return original(itemsets)
 
         monkeypatch.setattr(bbs, "count_itemsets", spy)
-        batcher = MicroBatcher(bbs)
+        return calls
 
-        async def fan_out():
-            return await asyncio.gather(
-                batcher.count((1,)), batcher.count((1, 2)), batcher.count((1, 3))
-            )
-
-        counts = asyncio.run(fan_out())
-        assert counts == [
-            bbs.count_itemset([1]),
-            bbs.count_itemset([1, 2]),
-            bbs.count_itemset([1, 3]),
-        ]
-        assert batcher.batches == 1
-        assert calls == [[(1,), (1, 2), (1, 3)]]
-        # h(x) = x mod 16: one signature position per item.
-        assert batcher.slice_ands == 5
-        assert batcher.slice_ands_saved == 0
-
-    def test_a_group_shares_the_drain_with_single_counts(self, small_bbs):
+    def test_duplicate_requests_coalesce(self, small_bbs, monkeypatch):
+        calls = self._spy(monkeypatch, small_bbs)
         batcher = MicroBatcher(small_bbs)
-        group = [canonical_itemset(items) for items in ([1], [2, 3], [4, 5])]
+        key = canonical_itemset([3, 5])
+        assert batcher.count({key: [None] * 10}) == [small_bbs.count_itemset(key)]
+        assert calls == [[key]]
+        assert (batcher.batches, batcher.requests, batcher.coalesced) == (1, 10, 9)
 
-        async def fan_out():
-            return await asyncio.gather(
-                batcher.count(group[1]), batcher.count_many(group)
-            )
+    def test_mixed_batch_matches_direct_counts(self, small_bbs):
+        itemsets = [
+            canonical_itemset(items)
+            for items in ([1], [1, 2], [2, 3], [4], [1, 2, 3], [9, 11])
+        ]
+        batcher = MicroBatcher(small_bbs)
+        counts = batcher.count({itemset: [None] for itemset in itemsets})
+        assert counts == [small_bbs.count_itemset(itemset) for itemset in itemsets]
 
-        single, many = asyncio.run(fan_out())
-        assert many == [small_bbs.count_itemset(items) for items in group]
-        assert single == many[1]
-        assert batcher.batches == 1
-        assert (batcher.requests, batcher.coalesced) == (4, 1)
-        width = small_bbs.signature_positions(group[1]).size
-        assert batcher.slice_ands_saved == width
+    def test_a_cache_missing_count_completes_without_suspending(self):
+        _, bbs, service = make_service()
+        for op, args in (
+            ("count", {"items": [2, 4], "exact": True}),
+            ("count_batch", {"itemsets": [[1, 3], [5]], "exact": True}),
+        ):
+            coro = service.handle(op, args)
+            with pytest.raises(StopIteration) as stop:
+                coro.send(None)
+            entries = stop.value.value.get("results", [stop.value.value])
+            for entry in entries:
+                assert entry["cached"] is False
+                assert entry["estimate"] == bbs.count_itemset(entry["items"])
+        assert service.batcher.batches == 2
+
+    def test_one_count_itemsets_call_per_request(self, monkeypatch):
+        _, bbs, service = make_service()
+        calls = self._spy(monkeypatch, bbs)
+        batch = [[2, 4], [1], [4, 2], [2, 4], [3]]
+        asyncio.run(service.handle("count_batch", {"itemsets": batch}))
+        # Duplicate itemsets in one batch are counted once.
+        assert calls == [[(2, 4), (1,), (3,)]]
+        asyncio.run(service.handle("count", {"items": [5]}))
+        assert calls[1:] == [[(5,)]]
+        # Cache hits reach the index not at all.
+        asyncio.run(service.handle("count_batch", {"itemsets": [[1], [5]]}))
+        assert len(calls) == 2
+
+    def test_batch_counters_mean_what_the_wire_protocol_says(self):
+        _, bbs, service = make_service()
+        pair, single = bbs.signature_positions([2, 4]).size, bbs.signature_positions([1]).size
+        asyncio.run(service.handle(
+            "count_batch", {"itemsets": [[2, 4], [1], [4, 2], [2, 4]]}
+        ))
+        asyncio.run(service.handle("count", {"items": [1]}))  # a cache hit
+        metrics = asyncio.run(service.handle("metrics", {}))
+        assert metrics["batch"] == {
+            "batches": 1,                  # count_itemsets calls
+            "requests": 4,                 # cache-missing entries
+            "coalesced": 2,                # the repeats of [2, 4]
+            "slice_ands": pair + single,   # slice reads charged
+            "slice_ands_saved": 2 * pair,  # positions the repeats skipped
+        }
 
 
 class TestLatencyHistogram:
@@ -564,6 +561,33 @@ class TestGracefulDrain:
         finally:
             client.close()
 
+    def test_idle_connection_reads_eof_while_in_flight_request_is_answered(self):
+        _, _, service = make_service(seed=5)
+
+        async def _slow_op(self, args):
+            await asyncio.sleep(0.6)
+            return {"survived": True}
+
+        service._OPS = {**PatternService._OPS, "slowop": _slow_op}
+        handle = start_server_thread(service)
+        busy = ServiceClient(handle.host, handle.port, timeout=10)
+        idle = socket.create_connection((handle.host, handle.port), timeout=10)
+        try:
+            write_frame_sock(idle, {"id": 1, "op": "health", "args": {}})
+            assert read_frame_sock(idle)["ok"] is True  # opened and served
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                in_flight = pool.submit(busy.request, "slowop")
+                time.sleep(0.1)  # the request is now mid-handler
+                handle.request_shutdown()
+                assert idle.recv(1) == b""  # EOF, not a timeout
+                assert not in_flight.done()
+                assert in_flight.result(timeout=10) == {"survived": True}
+            handle.thread.join(10)
+            assert not handle.thread.is_alive()
+        finally:
+            idle.close()
+            busy.close()
+
     def test_shutdown_op_drains(self):
         _, _, service = make_service(seed=5)
         handle = start_server_thread(service)
@@ -655,8 +679,12 @@ class TestCountBatch:
         assert first["cached"] is False
         assert first["estimate"] == bbs.count_itemset([2, 4])
         assert other["estimate"] == bbs.count_itemset([1])
-        # The two distinct itemsets went to the batcher, once each.
-        assert service.batcher.requests == 2
+        # The two distinct itemsets were counted once each; the two
+        # repeats of [2, 4] coalesced onto the first one's count.
+        assert (service.batcher.requests, service.batcher.coalesced) == (4, 2)
+        assert service.batcher.slice_ands == (
+            bbs.signature_positions([2, 4]).size + bbs.signature_positions([1]).size
+        )
 
     def test_mixed_item_types_in_one_batch(self):
         db = TransactionDatabase([[1, "a"], [1, 2], ["a", "b"], [2, "b"]])
