@@ -222,9 +222,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="maintain the frequent patterns at this absolute "
                          "min support incrementally (enables `query patterns`)")
     sv.add_argument("--durable", action="store_true",
-                    help="journal every append to the transaction file "
-                         "(fsynced before the ACK) and flush the index per "
-                         "append, so ACKed appends survive kill -9")
+                    help="journal every append to the transaction file, "
+                         "fsynced before the ACK, so ACKed appends survive "
+                         "kill -9 (boot re-inserts any journaled suffix a "
+                         "DiskBBS index had not sealed)")
     sv.add_argument("--scrub-interval", type=float, default=0.25,
                     help="seconds between background scrub ticks "
                          "(0 disables the scrubber)")
@@ -560,7 +561,6 @@ def _cmd_serve(args) -> int:
     with DiskDatabase(args.db) as disk:
         database = TransactionDatabase(list(disk), stats=stats)
 
-    close_index = None
     if args.index is None:
         index = BBS.from_database(database, m=args.m, k=args.k, stats=stats)
     else:
@@ -569,14 +569,13 @@ def _cmd_serve(args) -> int:
         if magic == b"BBSD":
             from repro.storage.diskbbs import DiskBBS
 
-            # Tolerant open: a torn tail from a crash is truncated and
-            # the lost suffix rebuilt from the database, so a supervised
-            # restart (or a manual one) never refuses to serve.
-            index = DiskBBS.recover(index_path, db=args.db, stats=stats)
-            if index.last_recovery is not None and index.last_recovery.repaired:
+            # Tolerant open: a torn tail from a crash is truncated, so a
+            # supervised restart (or a manual one) never refuses to
+            # serve; the reconcile below re-inserts what it covered.
+            index = DiskBBS.recover(index_path, stats=stats)
+            if index.last_recovery.repaired:
                 print(f"recovered {index_path}: "
                       f"{'; '.join(index.last_recovery.actions)}", flush=True)
-            close_index = index.close
         elif magic == b"BBSF":
             index = BBS.load(index_path, stats=stats)
         else:
@@ -620,18 +619,17 @@ def _cmd_serve(args) -> int:
             ]
         journal = ReplicationLog.open(args.db, stats=stats)
 
+    service = PatternService(
+        database,
+        index,
+        miner=miner,
+        cache_entries=args.cache_entries,
+        journal=journal,
+        idempotency_seed=idempotency_seed,
+        role="follower" if upstream else "primary",
+        upstream=upstream,
+    )
     try:
-        service = PatternService(
-            database,
-            index,
-            miner=miner,
-            cache_entries=args.cache_entries,
-            journal=journal,
-            durable=args.durable,
-            idempotency_seed=idempotency_seed,
-            role="follower" if upstream else "primary",
-            upstream=upstream,
-        )
         scrubber = None
         if args.scrub_interval > 0:
             from repro.service.scrubber import Scrubber
@@ -668,13 +666,9 @@ def _cmd_serve(args) -> int:
             flush=True,
         )
     finally:
-        if journal is not None:
-            try:
-                journal.close()
-            except (OSError, StorageError):
-                pass
-        if close_index is not None:
-            close_index()
+        # The drain has closed the service already, unless the server
+        # never started; closing again is a no-op.
+        service.close()
     return 0
 
 
@@ -773,27 +767,25 @@ def _cmd_shard_serve(args) -> int:
 def _reconcile_index(index, database) -> int:
     """Bring an index lagging its journal up to the database's count.
 
-    After a crash, the fsynced transaction file can be ahead of the
-    index (the index flush is the *last* durability barrier on the
-    append path).  Re-inserting the missing suffix here restores the
-    alignment :class:`~repro.service.PatternService` requires.  An
+    The one boot catch-up.  An append's only barrier is the journal
+    fsync, so after a crash the transaction file can be ahead of the
+    index: a DiskBBS tail never sealed or truncated by recovery, an old
+    slice file, a follower's shipped snapshot.  Re-inserting the missing
+    suffix restores the alignment :class:`~repro.service.PatternService`
+    requires; a DiskBBS buffers it in its tail like any append.  An
     index *ahead* of its database is not reconcilable — that means the
     wrong database file was supplied.
     """
+    import itertools
+
     missing = len(database) - index.n_transactions
     if missing < 0:
         raise ConfigurationError(
             f"index covers {index.n_transactions} transactions but the "
             f"database has only {len(database)}; is this the right --db?"
         )
-    if missing == 0:
-        return 0
-    import itertools as _it
-
-    for transaction in _it.islice(iter(database), index.n_transactions, None):
+    for transaction in itertools.islice(database, index.n_transactions, None):
         index.insert(transaction)
-    if hasattr(index, "flush"):
-        index.flush()
     return missing
 
 

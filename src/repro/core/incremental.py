@@ -89,10 +89,10 @@ class IncrementalMiner:
 
     # -- public surface ---------------------------------------------------
 
-    def insert(self, items: Iterable) -> None:
+    def insert(self, items: Iterable, tid: int | None = None) -> None:
         """Append one transaction and bring the pattern set up to date."""
         itemset = frozenset(items)
-        self.database.append(itemset)
+        self.database.append(itemset, tid=tid)
         self.bbs.insert(itemset)
         # Bump every tracked pattern contained in the transaction.  Each
         # pattern lives in exactly one anchor bucket, so the scan over

@@ -403,7 +403,6 @@ class PatternService(OpService):
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
         mine_threads: int = 2,
         journal=None,
-        durable: bool = False,
         idempotency_capacity: int = 4096,
         idempotency_seed=None,
         role: str = "primary",
@@ -427,7 +426,6 @@ class PatternService(OpService):
             # one sanctioned journal surface.
             journal = ReplicationLog(journal)
         self.journal = journal
-        self.durable = durable
         self.replication = ReplicationState(role=role, upstream=upstream)
         self.idempotency = IdempotencyWindow(idempotency_capacity)
         if idempotency_seed:
@@ -458,13 +456,20 @@ class PatternService(OpService):
     handle = OpService.handle
 
     def close(self) -> None:
-        """Stop the job executor (running jobs finish, pending are kept)."""
+        """Stop the job executor; close the journal and the index.
+
+        Closing a DiskBBS seals its tail, so the drain leaves the index
+        held now, swapped by a quarantine or not, covering the journal.
+        """
         self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.journal is not None:
+        for store in (self.journal, self.index):
+            close = getattr(store, "close", None)  # a resident BBS has none
+            if close is None:
+                continue
             try:
-                self.journal.close()
+                close()
             except (OSError, StorageError):
-                pass  # already-degraded journals close best-effort
+                pass  # best effort: the journal holds every ACKed record
 
     # -- degraded mode -------------------------------------------------------
 
@@ -592,7 +597,10 @@ class PatternService(OpService):
         Durable servers journal first: the transaction (with the token
         as its persisted tid) is fsynced to the transaction file before
         any in-memory state changes, so an ACK survives kill -9 and the
-        token window is reconstructible from the journal.
+        token window is reconstructible from the journal.  That fsync
+        is the ACK's only barrier; a DiskBBS seals its tail later
+        (DESIGN.md §8).  Tokens live in ``[2**32, 2**63)``, the band
+        boot re-seeds the window from.
         """
         key = _itemset_arg(args)
         token = args.get("token")
@@ -600,10 +608,10 @@ class PatternService(OpService):
             if (
                 not isinstance(token, int)
                 or isinstance(token, bool)
-                or not 0 < token < TOKEN_MAX
+                or not TOKEN_MIN <= token < TOKEN_MAX
             ):
                 raise ServiceError(
-                    "'token' must be a positive integer below 2**63",
+                    "'token' must be an integer in [2**32, 2**63)",
                     error_type=ERR_BAD_REQUEST,
                 )
             applied = self.idempotency.lookup(token)
@@ -637,36 +645,26 @@ class PatternService(OpService):
                         f"got {item!r}",
                         error_type=ERR_BAD_REQUEST,
                     )
-        position = None
+        position = len(self.database)
+        # Untokened appends persist their position as the tid (a
+        # reopened writer's default would restart at 0 and collide with
+        # existing positional tids).
+        tid = token if token is not None else position
         try:
             if self.journal is not None:
-                # Untokened appends persist their position as the tid (a
-                # reopened writer's default would restart at 0 and
-                # collide with existing positional tids).
-                tid = token if token is not None else len(self.database)
                 self.journal.append(key, tid=tid)
                 self.journal.sync()
-            if self.miner is not None:
-                self.miner.insert(key)
-                position = len(self.database) - 1
-            else:
-                position = self.database.append(key)
-                self.index.insert(key)
-            if self.durable and hasattr(self.index, "flush"):
-                self.index.flush()
+            self._apply(key, tid)
         except OSError as exc:  # includes StorageError (ENOSPC, EIO, ...)
             self.enter_degraded(f"write path failed: {exc}")
-            if position is not None and token is not None:
-                # The transaction *did* apply (only a later barrier
-                # failed); remember the token so the client's retry is
-                # deduped instead of double-inserted after recovery.
+            if token is not None and len(self.database) > position:
+                # The transaction *did* apply (only the index's seal at
+                # its flush threshold failed); remember the token so the
+                # client's retry is deduped, not inserted twice.
                 self.idempotency.record(token, position)
             raise DegradedError(
                 f"append failed and the server is now read-only: {exc}"
             ) from exc
-        if token is not None:
-            self.idempotency.record(token, position)
-        self._notify_append()
         return {
             "position": position,
             "epoch": self.index.epoch,
@@ -674,8 +672,23 @@ class PatternService(OpService):
             "deduped": False,
         }
 
-    def _notify_append(self) -> None:
-        """Wake any ``replicate`` long-polls waiting for growth."""
+    def _apply(self, key, tid: int) -> None:
+        """Apply one record to memory: the one path for an append (after
+        its journal fsync, if durable), a replicated record and a journal
+        record adopted by ``recover`` or ``promote``.
+
+        The database keeps the journal tid, the index or the incremental
+        miner takes the insert, a token-band tid enters the idempotency
+        window, and ``replicate`` long-polls wake.
+        """
+        position = len(self.database)
+        if self.miner is not None:
+            self.miner.insert(key, tid=tid)
+        else:
+            self.database.append(key, tid=tid)
+            self.index.insert(key)
+        if tid >= TOKEN_MIN:
+            self.idempotency.record(tid, position)
         if self._append_event is not None:
             self._append_event.set()
 
@@ -747,16 +760,9 @@ class PatternService(OpService):
         adopted = 0
         with TransactionFileReader(path) as reader:
             for position, tid, items in reader.scan():
-                if position < len(self.database):
-                    continue
-                if self.miner is not None:
-                    self.miner.insert(items)
-                else:
-                    self.database.append(items, tid=tid)
-                    self.index.insert(items)
-                if tid >= TOKEN_MIN:
-                    self.idempotency.record(tid, position)
-                adopted += 1
+                if position >= len(self.database):
+                    self._apply(items, tid)
+                    adopted += 1
         if adopted:
             actions.append(
                 f"adopted {adopted} journal record(s) memory never applied"
@@ -791,14 +797,8 @@ class PatternService(OpService):
         key = canonical_itemset(items)
         self.journal.append(key, tid=tid)
         self.journal.sync()
-        self.database.append(key, tid=tid)
-        self.index.insert(key)
-        if self.durable and hasattr(self.index, "flush"):
-            self.index.flush()
-        if tid >= TOKEN_MIN:
-            self.idempotency.record(tid, position)
+        self._apply(key, tid)
         self.replication.last_applied_epoch = self.index.epoch
-        self._notify_append()
         return True
 
     async def _wait_for_growth(self, baseline: int, wait_s: float) -> None:
@@ -978,10 +978,11 @@ class PatternService(OpService):
 
         Idempotent: promoting a primary is a no-op answer, not an
         error, so a retried promote (or a supervisor racing an operator)
-        converges.  The promotion sequence — stop the tailer, reconcile
-        journal-ahead records through the same adopt path crash
-        recovery uses, flush, flip the role — runs entirely on the
-        serving loop, so no read or append interleaves with it.
+        converges.  The promotion sequence — stop the tailer, fsync the
+        journal, adopt journal-ahead records through the same path
+        ``recover`` uses, flip the role — runs entirely on the serving
+        loop, so no read or append interleaves with it.  The index tail
+        stays buffered, as after any append.
         """
         if self.replication.role == "primary":
             return {
@@ -998,9 +999,6 @@ class PatternService(OpService):
             actions.append("stopped the journal tailer")
         self.journal.sync()
         actions.extend(self._adopt_journal_extras(self.journal.path))
-        if getattr(self.index, "tail_size", 0):
-            self.index.flush()
-            actions.append("flushed the buffered index tail")
         self.replication.role = "primary"
         self.replication.connected = False
         self.replication.promoted_at = time.monotonic()

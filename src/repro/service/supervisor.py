@@ -7,9 +7,9 @@ OOM, a crash bug), the supervisor:
 1. salvages the on-disk state *before* the replacement accepts traffic
    — the transaction file pair via
    :func:`~repro.service.replication.salvage_journal` and a DiskBBS log via
-   :func:`~repro.storage.recovery.salvage_index` with the database as
-   its rebuild companion — so every ACKed (fsynced) append survives and
-   torn tails from the crash are truncated, not served;
+   :func:`~repro.storage.recovery.salvage_index` — so torn tails from the
+   crash are truncated, not served; the worker's boot then re-inserts
+   every ACKed (fsynced) append the index lacks from the journal;
 2. restarts the worker on the *same* port (an ephemeral ``--port 0`` is
    resolved once, up front) so retrying clients reconnect without
    re-discovery;
@@ -79,7 +79,7 @@ def _salvage_before_start(args, announce) -> None:
         if magic == b"BBSD":
             from repro.storage.recovery import salvage_index
 
-            index_report = salvage_index(args.index, db=args.db)
+            index_report = salvage_index(args.index)
             if index_report.repaired:
                 announce(
                     f"supervisor: salvaged {args.index}: "
@@ -111,24 +111,24 @@ def _promote_standby(address: str, announce) -> int:
     return 0
 
 
+#: ``serve`` options the worker inherits verbatim, by attribute name.
+_WORKER_OPTIONS = (
+    "db", "index", "m", "k", "host", "max_connections", "timeout",
+    "cache_entries", "track", "scrub_interval", "read_queue",
+    "write_queue", "mine_queue", "brownout_after", "brownout_recover",
+)
+
+
 def _worker_argv(args, port: int) -> list[str]:
     """The child's command line: this serve config minus --supervise."""
-    argv = [
-        sys.executable, "-m", "repro", "serve",
-        "--db", args.db,
-        "--host", args.host,
-        "--port", str(port),
-        "--max-connections", str(args.max_connections),
-        "--timeout", str(args.timeout),
-        "--cache-entries", str(args.cache_entries),
-        "--scrub-interval", str(args.scrub_interval),
-    ]
-    if args.index:
-        argv += ["--index", args.index]
-    else:
-        argv += ["--m", str(args.m), "--k", str(args.k)]
-    if args.track is not None:
-        argv += ["--track", str(args.track)]
+    argv = [sys.executable, "-m", "repro"]
+    if args.kernel is not None:
+        argv += ["--kernel", args.kernel]
+    argv += ["serve", "--port", str(port)]
+    for name in _WORKER_OPTIONS:
+        value = getattr(args, name)
+        if value is not None:
+            argv += ["--" + name.replace("_", "-"), str(value)]
     if args.durable:
         argv.append("--durable")
     return argv

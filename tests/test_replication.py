@@ -282,7 +282,7 @@ def make_primary(tmp_path, *, seed=17, n_transactions=30, name="primary"):
     index.flush()
     db = TransactionDatabase(list(db_src), stats=stats)
     journal = ReplicationLog.open(db_path, stats=stats)
-    service = PatternService(db, index, journal=journal, durable=True)
+    service = PatternService(db, index, journal=journal)
     return db_path, idx_path, db, service
 
 
@@ -423,7 +423,7 @@ class TestSnapshotOps:
         write_journal(path, db)
         journal = ReplicationLog.open(path)
         service = PatternService(
-            db, BBS.from_database(db, m=64), journal=journal, durable=True
+            db, BBS.from_database(db, m=64), journal=journal
         )
         try:
             with pytest.raises(ServiceError) as excinfo:
@@ -445,7 +445,7 @@ def make_follower(tmp_path, *, name="follower"):
     db = TransactionDatabase([], stats=stats)
     index = BBS.from_database(db, m=64, stats=stats)
     service = PatternService(
-        db, index, journal=journal, durable=True,
+        db, index, journal=journal,
         role="follower", upstream="127.0.0.1:1",
     )
     return db_path, db, service

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import shutil
 import signal
 import socket
 import struct
@@ -20,6 +21,7 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.core.bbs import BBS
 from repro.data.database import TransactionDatabase
 from repro.errors import (
@@ -46,8 +48,13 @@ from repro.service.scrubber import Scrubber
 from repro.service.server import start_server_thread
 from repro.storage.diskbbs import DiskBBS
 from repro.storage.metrics import IOStats
-from repro.storage.txfile import TransactionFileReader, TransactionFileWriter
-from repro.testing.faults import FaultPlan, arm_txwriter, flip_bit
+from repro.storage.recovery import inspect_index
+from repro.storage.txfile import (
+    TransactionFileReader,
+    TransactionFileWriter,
+    index_path,
+)
+from repro.testing.faults import FaultPlan, arm_diskbbs, arm_txwriter, flip_bit
 from repro.testing.netfaults import ChaosProxy, DropResponse
 from tests.conftest import make_random_database
 
@@ -281,7 +288,7 @@ def make_durable_service(tmp_path, *, seed=23, n_transactions=60):
     db = TransactionDatabase(list(db_src), stats=stats)
     bbs = BBS.from_database(db, m=128, stats=stats)
     journal = TransactionFileWriter(path, truncate=False, stats=stats)
-    service = PatternService(db, bbs, journal=journal, durable=True)
+    service = PatternService(db, bbs, journal=journal)
     return path, db, service
 
 
@@ -331,7 +338,7 @@ class TestIdempotentAppend:
         bbs2 = BBS.from_database(db2, m=128, stats=stats)
         journal2 = TransactionFileWriter(path, truncate=False, stats=stats)
         service2 = PatternService(
-            db2, bbs2, journal=journal2, durable=True, idempotency_seed=seed
+            db2, bbs2, journal=journal2, idempotency_seed=seed
         )
         try:
             replay = run_op(
@@ -345,7 +352,7 @@ class TestIdempotentAppend:
     def test_bad_tokens_rejected(self, tmp_path):
         path, db, service = make_durable_service(tmp_path)
         try:
-            for bad in (0, -3, True, "abc", TOKEN_MAX):
+            for bad in (0, -3, True, "abc", TOKEN_MIN - 1, TOKEN_MAX):
                 with pytest.raises(ServiceError) as excinfo:
                     run_op(service, "append", {"items": [1], "token": bad})
                 assert excinfo.value.error_type == "bad_request"
@@ -575,6 +582,14 @@ def _wait_port(proc: subprocess.Popen, timeout: float = 30.0) -> int:
     raise AssertionError("server never announced its port")
 
 
+def _reap(proc: subprocess.Popen) -> None:
+    """Kill ``proc`` if it still runs, wait for it, close its pipe."""
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait(timeout=10.0)
+    proc.stdout.close()
+
+
 class TestFailoverExactlyOnce:
     def test_kill9_primary_promote_follower(self, tmp_path):
         """Every ACKed append survives the primary's death exactly once.
@@ -698,6 +713,194 @@ class TestFailoverExactlyOnce:
             if proxy is not None:
                 proxy.close()
             for proc in (primary, follower):
-                if proc is not None and proc.poll() is None:
-                    proc.kill()
-                    proc.communicate()
+                if proc is not None:
+                    _reap(proc)
+
+
+# --------------------------------------------------------------------------
+# The journal is the only append barrier: the DiskBBS tail seals at its
+# flush threshold, at close, and for snapshot/recover; boot reconciles.
+# --------------------------------------------------------------------------
+
+
+def make_sealed_store(tmp_path, *, n_transactions=40):
+    """A transaction file and a DiskBBS log sealing all of it."""
+    db_src = make_random_database(
+        seed=37, n_transactions=n_transactions, n_items=24, max_len=6
+    )
+    tx_path = tmp_path / "node.tx"
+    idx_path = tmp_path / "node.bbsd"
+    with TransactionFileWriter(tx_path) as writer:
+        for transaction in db_src:
+            writer.append(transaction)
+        writer.sync()
+    with DiskBBS.create(idx_path, m=64) as index:
+        for transaction in db_src:
+            index.insert(transaction)
+    return tx_path, idx_path, list(db_src)
+
+
+def make_journaled_disk_service(tmp_path):
+    """A journaled service over the sealed store; the tail seals at 64."""
+    tx_path, idx_path, base = make_sealed_store(tmp_path)
+    stats = IOStats()
+    db = TransactionDatabase(base, stats=stats)
+    index = DiskBBS.open(idx_path, stats=stats, flush_threshold=64)
+    journal = TransactionFileWriter(tx_path, truncate=False, stats=stats)
+    service = PatternService(db, index, journal=journal)
+    return tx_path, idx_path, service
+
+
+def _serve_durable(tx_path, idx_path) -> tuple[subprocess.Popen, int]:
+    proc = _spawn_serve(
+        "--db", str(tx_path), "--index", str(idx_path), "--durable",
+        "--port", "0", "--scrub-interval", "0",
+    )
+    try:
+        return proc, _wait_port(proc)
+    except BaseException:
+        _reap(proc)
+        raise
+
+
+def _drain(proc: subprocess.Popen) -> None:
+    proc.send_signal(signal.SIGTERM)
+    out, _ = proc.communicate(timeout=30.0)
+    assert proc.returncode == 0, out
+    assert "drained after" in out
+
+
+def _check_index(idx_path, tx_path) -> int:
+    """``repro-mine check <log> --db <journal>``'s exit code."""
+    return main(["check", str(idx_path), "--db", str(tx_path)])
+
+
+class TestJournalIsTheOnlyAppendBarrier:
+    N_APPENDS = 12
+
+    def test_acked_appends_fsync_the_journal_only(self, tmp_path):
+        """``serve --durable`` over a DiskBBS log: an append's barrier is
+        the journal's fsync pair; the log is written once, at the drain."""
+        tx_path, idx_path, base = make_sealed_store(tmp_path)
+        segments = inspect_index(idx_path).segments_ok
+        log_bytes = idx_path.read_bytes()
+        appended = [[500 + i, i % 7] for i in range(self.N_APPENDS)]
+        proc, port = _serve_durable(tx_path, idx_path)
+        try:
+            with ServiceClient("127.0.0.1", port) as client:
+                client.metrics()
+                for i, items in enumerate(appended):
+                    got = client.append(items, token=TOKEN_MIN + 600 + i)
+                    assert got["position"] == len(base) + i
+                io_delta = client.metrics()["io_delta"]
+                # Two fsyncs per append (journal data, then its index),
+                # and no segment: the log file is untouched.
+                assert io_delta["fsyncs"] == 2 * self.N_APPENDS
+                assert idx_path.read_bytes() == log_bytes
+                fresh = BBS.from_database(
+                    TransactionDatabase(base + appended), m=64
+                )
+                for probe in ([500], [3], [1, 2], [505, 5], [511]):
+                    got = client.count(probe, exact=True)
+                    assert got["estimate"] == fresh.count_itemset(probe)
+                    assert got["exact"] == sum(
+                        set(probe) <= set(t) for t in base + appended
+                    )
+            _drain(proc)
+        finally:
+            _reap(proc)
+        # The drain sealed the tail as one segment covering the journal.
+        report = inspect_index(idx_path)
+        assert report.clean
+        assert report.segments_ok == segments + 1
+        assert report.committed_transactions == len(base) + len(appended)
+        assert _check_index(idx_path, tx_path) == 0
+
+    def test_crash_with_unsealed_tail_restores_acked_appends_once(
+        self, tmp_path
+    ):
+        """Boot re-inserts the journaled suffix a crash left unsealed,
+        exactly once, and re-seeds the appends' tokens."""
+        tx_path, idx_path, service = make_journaled_disk_service(tmp_path)
+        base = len(service.database)
+        tokens = [TOKEN_MIN + 800 + i for i in range(self.N_APPENDS)]
+        try:
+            for i, token in enumerate(tokens):
+                got = run_op(
+                    service, "append", {"items": [700 + i], "token": token}
+                )
+                assert got["position"] == base + i
+            assert service.index.tail_size == self.N_APPENDS
+            # kill -9 here: the fsynced journal survives, the tail does not.
+            crash = tmp_path / "crash"
+            crash.mkdir()
+            for path in (tx_path, index_path(tx_path), idx_path):
+                shutil.copy(path, crash / path.name)
+        finally:
+            service.close()
+        tx_copy, idx_copy = crash / tx_path.name, crash / idx_path.name
+        assert inspect_index(idx_copy).committed_transactions == base
+        log_bytes = idx_copy.read_bytes()
+
+        proc, port = _serve_durable(tx_copy, idx_copy)
+        try:
+            # Boot caught up in memory; it did not rebuild the log.
+            assert idx_copy.read_bytes() == log_bytes
+            with ServiceClient("127.0.0.1", port) as client:
+                assert client.status()["n_transactions"] == base + len(tokens)
+                for i, token in enumerate(tokens):
+                    assert client.count([700 + i], exact=True)["exact"] == 1
+                    replay = client.append([700 + i], token=token)
+                    assert replay["deduped"] is True
+                    assert replay["position"] == base + i
+                assert client.status()["n_transactions"] == base + len(tokens)
+            _drain(proc)
+        finally:
+            _reap(proc)
+        assert _check_index(idx_copy, tx_copy) == 0
+
+    def test_failed_threshold_seal_still_dedupes_the_append(self, tmp_path):
+        """A seal failing at the flush threshold degrades the server, yet
+        its append was journaled and applied, so the retry dedupes."""
+        tx_path, idx_path, service = make_journaled_disk_service(tmp_path)
+        try:
+            base = len(service.database)
+            service.index.flush_threshold = 1
+            plan = arm_diskbbs(service.index, FaultPlan(error_after_bytes=16))
+            token = TOKEN_MIN + 950
+            with pytest.raises(DegradedError):
+                run_op(service, "append", {"items": [3, 5], "token": token})
+            assert service.mode == "degraded"
+            replay = run_op(
+                service, "append", {"items": [3, 5], "token": token}
+            )
+            assert replay["deduped"] is True
+            assert replay["position"] == base
+            assert len(service.database) == base + 1
+            plan.disarm()  # so the close below can seal the tail
+        finally:
+            service.close()
+        assert _check_index(idx_path, tx_path) == 0
+
+    def test_drain_after_quarantine_swap_seals_the_held_index(self, tmp_path):
+        """The drain closes the index the service holds, which the
+        scrubber's quarantine swap replaced, so its tail is sealed."""
+        tx_path, idx_path, service = make_journaled_disk_service(tmp_path)
+        for i in range(4):
+            run_op(service, "append", {"items": [900 + i]})
+        flip_bit(idx_path, service.index._segments[0].matrix_offset + 3)
+        scrub = Scrubber(service, interval=0.01, idle_after=0.0)
+        service.last_request_monotonic = time.monotonic() - 60
+        swapped_from = service.index
+        for _ in range(len(service.index.items()) + 8):
+            scrub.tick()
+            if service.mode != "ok":
+                break
+        assert service.index is not swapped_from
+        assert run_op(service, "recover")["recovered"] is True
+        for i in range(4, 10):
+            run_op(service, "append", {"items": [900 + i]})
+        assert service.index.tail_size == 6
+        with start_server_thread(service):
+            pass  # a graceful drain: the server closes the service
+        assert _check_index(idx_path, tx_path) == 0

@@ -779,6 +779,7 @@ class TestShardKillDrill:
                 if proc.poll() is None:
                     proc.kill()
                 proc.wait(timeout=10)
+                proc.stdout.close()
 
 
 # ---------------------------------------------------------------------------

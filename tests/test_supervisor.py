@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.data.diskdb import DiskDatabase
 from repro.service.resilience import TOKEN_MIN, RetryingClient, RetryPolicy
 from repro.service.supervisor import _resolve_port, _worker_argv
@@ -101,6 +101,7 @@ class SupervisorHarness:
                 self.proc.kill()
                 self.proc.wait()
         self._reader.join(timeout=5)
+        self.proc.stdout.close()
         return self.proc.returncode, "\n".join(self.lines)
 
 
@@ -142,22 +143,30 @@ class TestHelpers:
         assert _resolve_port("127.0.0.1", 4444) == 4444
 
     def test_worker_argv_strips_supervise(self):
-        class Args:
-            db = "d.tx"
-            host = "127.0.0.1"
-            max_connections = 64
-            timeout = 30.0
-            cache_entries = 4096
-            scrub_interval = 0.25
-            index = "d.bbs"
-            track = None
-            durable = True
-
-        argv = _worker_argv(Args(), 7777)
+        args = _build_parser().parse_args([
+            "--kernel", "numpy", "serve", "--supervise", "--durable",
+            "--db", "d.tx", "--index", "d.bbs", "--port", "0",
+            "--max-restarts", "3", "--read-queue", "8",
+            "--write-queue", "16", "--mine-queue", "0",
+            "--brownout-after", "2", "--brownout-recover", "7.5",
+        ])
+        argv = _worker_argv(args, 7777)
         assert "--supervise" not in argv
+        assert "--max-restarts" not in argv
         assert "--durable" in argv
+        assert argv[argv.index("--kernel") + 1] == "numpy"
+        assert argv.index("--kernel") < argv.index("serve")
         assert argv[argv.index("--port") + 1] == "7777"
-        assert argv[argv.index("--index") + 1] == "d.bbs"
+        # The worker parses back to the supervised config, every flag kept.
+        worker = _build_parser().parse_args(argv[argv.index("-m") + 2:])
+        for name in (
+            "kernel", "db", "index", "durable", "read_queue", "write_queue",
+            "mine_queue", "brownout_after", "brownout_recover",
+            "max_connections", "timeout", "cache_entries", "scrub_interval",
+        ):
+            assert getattr(worker, name) == getattr(args, name), name
+        assert worker.mine_queue == 0 and worker.brownout_recover == 7.5
+        assert worker.supervise is False
 
 
 class TestKill9Durability:
