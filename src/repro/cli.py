@@ -59,8 +59,40 @@ def _parse_min_support(text: str):
     return int(value) if value >= 1 else value
 
 
-def _add_overload_flags(parser) -> None:
-    """Admission / brownout knobs shared by ``serve`` and ``shard-serve``."""
+def _add_node_options(parser, role, *, db_required: bool) -> None:
+    """The options ``serve`` and ``shard-serve`` share; ``--follower``
+    goes into ``role`` (``serve`` makes it exclusive with ``--primary``)."""
+    parser.add_argument("--db", required=db_required, default=None,
+                        help="transaction file" if db_required else
+                             "transaction file (required unless --router)")
+    parser.add_argument("--index", default=None,
+                        help="BBS slice file or DiskBBS segment log to hold "
+                             "resident (omitted: build in memory with --m/--k)")
+    parser.add_argument("--m", type=int, default=1600,
+                        help="signature width for an in-memory build")
+    parser.add_argument("--k", type=int, default=4,
+                        help="hash functions for an in-memory build")
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0,
+                        help="TCP port (0 = pick one and announce it)")
+    parser.add_argument("--max-connections", type=int, default=64,
+                        help="admission limit on concurrent connections")
+    parser.add_argument("--timeout", type=float, default=30.0,
+                        help="per-request timeout in seconds")
+    parser.add_argument("--cache-entries", type=int, default=4096,
+                        help="LRU result-cache capacity")
+    parser.add_argument("--track", type=int, default=None,
+                        help="maintain the frequent patterns at this absolute "
+                             "min support incrementally (enables `query "
+                             "patterns`; a router merges its shards' sets)")
+    parser.add_argument("--scrub-interval", type=float, default=0.25,
+                        help="seconds between background scrub ticks "
+                             "(0 disables the scrubber)")
+    role.add_argument("--follower", metavar="HOST:PORT", default=None,
+                      help="serve as a read-only replication follower of "
+                           "the primary at HOST:PORT: bootstrap from its "
+                           "snapshot, tail its journal, refuse appends "
+                           "(implies --durable; requires --index)")
     parser.add_argument("--read-queue", type=int, default=512,
                         help="reads allowed to wait for a dispatch slot "
                              "before shedding (typed `overloaded`)")
@@ -80,7 +112,7 @@ def _add_overload_flags(parser) -> None:
 
 
 def _build_admission(args):
-    """An AdmissionController from the overload flags (or their defaults)."""
+    """An AdmissionController from the parsed overload options."""
     from repro.service.server import (
         DEFAULT_ADMISSION_LIMITS,
         AdmissionController,
@@ -89,19 +121,17 @@ def _build_admission(args):
 
     limits = {
         "read": AdmissionLimits(
-            DEFAULT_ADMISSION_LIMITS["read"].max_concurrent,
-            getattr(args, "read_queue", 512),
+            DEFAULT_ADMISSION_LIMITS["read"].max_concurrent, args.read_queue
         ),
         "write": AdmissionLimits(
-            DEFAULT_ADMISSION_LIMITS["write"].max_concurrent,
-            getattr(args, "write_queue", 256),
+            DEFAULT_ADMISSION_LIMITS["write"].max_concurrent, args.write_queue
         ),
     }
     return AdmissionController(
         limits,
-        mine_backlog=getattr(args, "mine_queue", 32),
-        brownout_after=getattr(args, "brownout_after", 4),
-        brownout_recover_s=getattr(args, "brownout_recover", 2.0),
+        mine_backlog=args.mine_queue,
+        brownout_after=args.brownout_after,
+        brownout_recover_s=args.brownout_recover,
     )
 
 
@@ -200,50 +230,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve a resident index over TCP (see `query`)",
     )
-    sv.add_argument("--db", default=None,
-                    help="transaction file (required unless --router)")
-    sv.add_argument("--index", default=None,
-                    help="BBS slice file or DiskBBS segment log to hold "
-                         "resident (omitted: build in memory with --m/--k)")
-    sv.add_argument("--m", type=int, default=1600,
-                    help="signature width for an in-memory build")
-    sv.add_argument("--k", type=int, default=4,
-                    help="hash functions for an in-memory build")
-    sv.add_argument("--host", default="127.0.0.1")
-    sv.add_argument("--port", type=int, default=0,
-                    help="TCP port (0 = pick one and announce it)")
-    sv.add_argument("--max-connections", type=int, default=64,
-                    help="admission limit on concurrent connections")
-    sv.add_argument("--timeout", type=float, default=30.0,
-                    help="per-request timeout in seconds")
-    sv.add_argument("--cache-entries", type=int, default=4096,
-                    help="LRU result-cache capacity")
-    sv.add_argument("--track", type=int, default=None,
-                    help="maintain the frequent patterns at this absolute "
-                         "min support incrementally (enables `query patterns`)")
+    role = sv.add_mutually_exclusive_group()
+    role.add_argument("--primary", action="store_true",
+                      help="serve as a writable primary (the default; "
+                           "explicit for symmetry with --follower)")
+    _add_node_options(sv, role, db_required=False)
     sv.add_argument("--durable", action="store_true",
                     help="journal every append to the transaction file, "
                          "fsynced before the ACK, so ACKed appends survive "
                          "kill -9 (boot re-inserts any journaled suffix a "
                          "DiskBBS index had not sealed)")
-    sv.add_argument("--scrub-interval", type=float, default=0.25,
-                    help="seconds between background scrub ticks "
-                         "(0 disables the scrubber)")
     sv.add_argument("--supervise", action="store_true",
                     help="run the server as a supervised child: restart it "
                          "after a crash, salvaging the on-disk state first")
     sv.add_argument("--max-restarts", type=int, default=16,
                     help="abnormal worker exits tolerated before the "
                          "supervisor gives up")
-    role = sv.add_mutually_exclusive_group()
-    role.add_argument("--primary", action="store_true",
-                      help="serve as a writable primary (the default; "
-                           "explicit for symmetry with --follower)")
-    role.add_argument("--follower", metavar="HOST:PORT", default=None,
-                      help="serve as a read-only replication follower of "
-                           "the primary at HOST:PORT: bootstrap from its "
-                           "snapshot, tail its journal, refuse appends "
-                           "(implies --durable; requires --index)")
     sv.add_argument("--standby", metavar="HOST:PORT", default=None,
                     help="with --supervise: when salvage fails (primary "
                          "storage lost), promote the warm standby at this "
@@ -266,33 +268,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--shardmap", metavar="PATH", default=None,
                     help="with --router: persist the range assignment here "
                          "(reloaded on restart; served via `query shardmap`)")
-    _add_overload_flags(sv)
+    # The supervisor forwards the options of this parser to its worker.
+    sv.set_defaults(parser=sv)
 
     shard_sv = sub.add_parser(
         "shard-serve",
         help="serve one shard of a sharded deployment (durable `serve` "
              "with the flags a router expects)",
     )
-    shard_sv.add_argument("--db", required=True, help="transaction file")
-    shard_sv.add_argument("--index", default=None,
-                          help="BBS slice file or DiskBBS segment log")
-    shard_sv.add_argument("--m", type=int, default=1600)
-    shard_sv.add_argument("--k", type=int, default=4)
-    shard_sv.add_argument("--host", default="127.0.0.1")
-    shard_sv.add_argument("--port", type=int, default=0)
-    shard_sv.add_argument("--max-connections", type=int, default=64)
-    shard_sv.add_argument("--timeout", type=float, default=30.0)
-    shard_sv.add_argument("--cache-entries", type=int, default=4096)
-    shard_sv.add_argument("--track", type=int, default=None,
-                          help="track the locally frequent patterns at this "
-                               "absolute min support (a router merges the "
-                               "shards' tracked sets)")
-    shard_sv.add_argument("--scrub-interval", type=float, default=0.25)
-    shard_sv.add_argument("--follower", metavar="HOST:PORT", default=None,
-                          help="serve as the read-only follower of the shard "
-                               "primary at HOST:PORT (what a router fails "
-                               "over to)")
-    _add_overload_flags(shard_sv)
+    _add_node_options(shard_sv, shard_sv, db_required=True)
+    shard_sv.set_defaults(
+        durable=True, supervise=False, router=False, shard=None,
+        shard_follower=None,
+    )
 
     qr = sub.add_parser("query", help="query a running `serve` instance")
     qr.add_argument("--host", default="127.0.0.1")
@@ -496,15 +484,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    """``serve`` and ``shard-serve``: check the flags, supervise or open
+    the service, then serve it until it drains."""
     import asyncio
 
-    from repro.data.database import TransactionDatabase
-    from repro.service import PatternService
     from repro.service.server import PatternServer
 
-    if getattr(args, "router", False):
+    if args.router:
         return _cmd_serve_router(args)
-    if getattr(args, "shard", None) or getattr(args, "shard_follower", None):
+    if args.shard or args.shard_follower:
         raise ConfigurationError(
             "--shard/--shard-follower only make sense with --router"
         )
@@ -512,9 +500,7 @@ def _cmd_serve(args) -> int:
         raise ConfigurationError(
             "--db is required (only a --router serves without storage)"
         )
-
-    upstream = getattr(args, "follower", None)
-    if upstream:
+    if args.follower:
         if args.supervise:
             raise ConfigurationError(
                 "--follower and --supervise are mutually exclusive; "
@@ -539,96 +525,7 @@ def _cmd_serve(args) -> int:
 
         return run_supervised(args)
 
-    stats = IOStats()
-    if upstream:
-        from repro.service.replication import bootstrap_follower, parse_address
-
-        up_host, up_port = parse_address(upstream)
-        for action in bootstrap_follower(
-            up_host, up_port, db_path=args.db, index_path=args.index,
-            stats=stats,
-        ):
-            print(f"bootstrap: {action}", flush=True)
-    if args.durable:
-        # A durable server re-opens its own journal for writing; heal a
-        # torn tail from a previous crash before anything reads it.
-        from repro.storage.txfile import salvage_txfile
-
-        tx_report = salvage_txfile(args.db, stats=stats)
-        if tx_report.repaired:
-            print(f"salvaged {args.db}: {'; '.join(tx_report.actions)}",
-                  flush=True)
-    with DiskDatabase(args.db) as disk:
-        database = TransactionDatabase(list(disk), stats=stats)
-
-    if args.index is None:
-        index = BBS.from_database(database, m=args.m, k=args.k, stats=stats)
-    else:
-        index_path = Path(args.index)
-        magic = _sniff_magic(index_path)
-        if magic == b"BBSD":
-            from repro.storage.diskbbs import DiskBBS
-
-            # Tolerant open: a torn tail from a crash is truncated, so a
-            # supervised restart (or a manual one) never refuses to
-            # serve; the reconcile below re-inserts what it covered.
-            index = DiskBBS.recover(index_path, stats=stats)
-            if index.last_recovery.repaired:
-                print(f"recovered {index_path}: "
-                      f"{'; '.join(index.last_recovery.actions)}", flush=True)
-        elif magic == b"BBSF":
-            index = BBS.load(index_path, stats=stats)
-        else:
-            raise StorageError(
-                f"{index_path} is neither a DiskBBS log nor a slice file "
-                f"(magic {magic!r})", path=index_path,
-            )
-
-    reconciled = _reconcile_index(index, database)
-    if reconciled:
-        print(f"reconciled index: re-inserted {reconciled} journaled "
-              f"transaction(s) the index had not covered", flush=True)
-
-    miner = None
-    if args.track is not None:
-        if not isinstance(index, BBS):
-            raise ConfigurationError(
-                "--track needs an in-memory index (a slice file or an "
-                "--m build); a DiskBBS log cannot drive the filter recursion"
-            )
-        from repro.core.incremental import IncrementalMiner
-
-        miner = IncrementalMiner(database, index, args.track)
-
-    journal = None
-    idempotency_seed = None
-    if args.durable:
-        from repro.service.replication import ReplicationLog
-        from repro.service.resilience import TOKEN_MIN
-        from repro.storage.txfile import TransactionFileReader
-
-        # Any persisted tid >= TOKEN_MIN is a client idempotency token;
-        # re-seeding the window here is what makes append dedupe
-        # survive a crash + restart — on a follower it is also what
-        # dedupes replicated tokens after a promotion.
-        with TransactionFileReader(args.db) as reader:
-            idempotency_seed = [
-                (tid, position)
-                for position, tid, _items in reader.scan()
-                if tid >= TOKEN_MIN
-            ]
-        journal = ReplicationLog.open(args.db, stats=stats)
-
-    service = PatternService(
-        database,
-        index,
-        miner=miner,
-        cache_entries=args.cache_entries,
-        journal=journal,
-        idempotency_seed=idempotency_seed,
-        role="follower" if upstream else "primary",
-        upstream=upstream,
-    )
+    service = _open_service(args)
     try:
         scrubber = None
         if args.scrub_interval > 0:
@@ -638,10 +535,10 @@ def _cmd_serve(args) -> int:
                 service, interval=args.scrub_interval, db_path=args.db
             )
         tailer = None
-        if upstream:
-            from repro.service.replication import FollowerTailer
+        if args.follower:
+            from repro.service.replication import FollowerTailer, parse_address
 
-            tailer = FollowerTailer(service, up_host, up_port)
+            tailer = FollowerTailer(service, *parse_address(args.follower))
         server = PatternServer(
             service,
             host=args.host,
@@ -652,12 +549,13 @@ def _cmd_serve(args) -> int:
             tailer=tailer,
             admission=_build_admission(args),
         )
+        index = service.index
         print(
             f"resident index: {type(index).__name__} m={index.m} k={index.k} "
-            f"over {len(database)} transactions"
-            + (f", tracking min_support={args.track}" if miner else "")
+            f"over {len(service.database)} transactions"
+            + (f", tracking min_support={args.track}" if service.miner else "")
             + (", durable appends" if args.durable else "")
-            + (f", follower of {upstream}" if upstream else ""),
+            + (f", follower of {args.follower}" if args.follower else ""),
             flush=True,
         )
         asyncio.run(server.run(announce=lambda msg: print(msg, flush=True)))
@@ -670,6 +568,98 @@ def _cmd_serve(args) -> int:
         # never started; closing again is a no-op.
         service.close()
     return 0
+
+
+def _open_service(args):
+    """Boot a node's :class:`~repro.service.PatternService` from its files.
+
+    The one boot path: bootstrap (a follower), salvage (durable), read
+    the transaction file once with its journal tids, open the index by
+    its magic, catch it up (a DiskBBS keeps the suffix in its unsealed
+    tail), open the journal.
+    """
+    from repro.data.database import TransactionDatabase
+    from repro.service import PatternService
+    from repro.storage.recovery import catch_up_index, sniff_magic
+    from repro.storage.txfile import TransactionFileReader, salvage_txfile
+
+    stats = IOStats()
+    if args.follower:
+        from repro.service.replication import bootstrap_follower, parse_address
+
+        for action in bootstrap_follower(
+            *parse_address(args.follower), db_path=args.db,
+            index_path=args.index, stats=stats,
+        ):
+            print(f"bootstrap: {action}", flush=True)
+    if args.durable:
+        # A durable server re-opens its own journal for writing; heal a
+        # torn tail from a previous crash before anything reads it.
+        tx_report = salvage_txfile(args.db, stats=stats)
+        if tx_report.repaired:
+            print(f"salvaged {args.db}: {'; '.join(tx_report.actions)}",
+                  flush=True)
+    database = TransactionDatabase(stats=stats)
+    with TransactionFileReader(args.db) as reader:
+        for _position, tid, items in reader.scan():
+            database.append(items, tid=tid)
+
+    magic = sniff_magic(args.index) if args.index else None
+    if args.track is not None and magic == b"BBSD":
+        raise ConfigurationError(
+            "--track needs an in-memory index (a slice file or an "
+            "--m build); a DiskBBS log cannot drive the filter recursion"
+        )
+    if magic is None:
+        index = BBS.from_database(database, m=args.m, k=args.k, stats=stats)
+    elif magic == b"BBSD":
+        from repro.storage.diskbbs import DiskBBS
+
+        # Tolerant open: a torn tail from a crash is truncated, so a
+        # supervised restart (or a manual one) never refuses to serve;
+        # the catch-up below re-inserts what it covered.
+        index = DiskBBS.recover(args.index, stats=stats)
+        if index.last_recovery.repaired:
+            print(f"recovered {args.index}: "
+                  f"{'; '.join(index.last_recovery.actions)}", flush=True)
+    elif magic == b"BBSF":
+        index = BBS.load(args.index, stats=stats)
+    else:
+        raise StorageError(
+            f"{args.index} is neither a DiskBBS log nor a slice file "
+            f"(magic {magic!r})", path=args.index,
+        )
+
+    journal = None
+    try:
+        caught_up = catch_up_index(index, database)
+        if caught_up:
+            print(f"reconciled index: re-inserted {caught_up} journaled "
+                  f"transaction(s) the index had not covered", flush=True)
+        miner = None
+        if args.track is not None:
+            from repro.core.incremental import IncrementalMiner
+
+            miner = IncrementalMiner(database, index, args.track)
+        if args.durable:
+            from repro.service.replication import ReplicationLog
+
+            journal = ReplicationLog.open(args.db, stats=stats)
+        return PatternService(
+            database,
+            index,
+            miner=miner,
+            cache_entries=args.cache_entries,
+            journal=journal,
+            role="follower" if args.follower else "primary",
+            upstream=args.follower,
+        )
+    except BaseException:
+        for store in (journal, index):
+            close = getattr(store, "close", None)  # a resident BBS has none
+            if close is not None:
+                close()
+        raise
 
 
 def _cmd_serve_router(args) -> int:
@@ -749,44 +739,6 @@ def _cmd_serve_router(args) -> int:
             flush=True,
         )
     return 0
-
-
-def _cmd_shard_serve(args) -> int:
-    """``shard-serve``: a durable `serve` with router-friendly defaults."""
-    args.durable = True
-    args.supervise = False
-    args.standby = None
-    args.router = False
-    args.shard = None
-    args.shard_follower = None
-    args.shardmap = None
-    args.max_restarts = 0
-    return _cmd_serve(args)
-
-
-def _reconcile_index(index, database) -> int:
-    """Bring an index lagging its journal up to the database's count.
-
-    The one boot catch-up.  An append's only barrier is the journal
-    fsync, so after a crash the transaction file can be ahead of the
-    index: a DiskBBS tail never sealed or truncated by recovery, an old
-    slice file, a follower's shipped snapshot.  Re-inserting the missing
-    suffix restores the alignment :class:`~repro.service.PatternService`
-    requires; a DiskBBS buffers it in its tail like any append.  An
-    index *ahead* of its database is not reconcilable — that means the
-    wrong database file was supplied.
-    """
-    import itertools
-
-    missing = len(database) - index.n_transactions
-    if missing < 0:
-        raise ConfigurationError(
-            f"index covers {index.n_transactions} transactions but the "
-            f"database has only {len(database)}; is this the right --db?"
-        )
-    for transaction in itertools.islice(database, index.n_transactions, None):
-        index.insert(transaction)
-    return missing
 
 
 def _cmd_query(args) -> int:
@@ -877,27 +829,22 @@ def _durability_line(stats: IOStats) -> str:
     )
 
 
-def _sniff_magic(path: Path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(4)
-    except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}", path=path) from exc
-
-
 def _cmd_check(args) -> int:
     from repro.storage.recovery import (
         EXIT_CLEAN,
         EXIT_CORRUPT,
         EXIT_TORN,
         inspect_index,
+        sniff_magic,
     )
     from repro.storage.txfile import DATA_MAGIC, inspect_txfile
 
     path = Path(args.index)
-    magic = _sniff_magic(path)
+    magic = sniff_magic(path)
 
     if magic == b"BBSD":
+        from repro.storage.diskbbs import DiskBBS
+
         stats = IOStats()
         report = inspect_index(path, stats=stats)
         print(report)
@@ -906,7 +853,10 @@ def _cmd_check(args) -> int:
             report.status, EXIT_CORRUPT
         )
         if code == EXIT_CLEAN and args.db:
-            return _audit_index_against_db(path, args.db, diskbbs=True)
+            with DiskBBS.open(path) as index:
+                return _audit_index_against_db(
+                    index, args.db, catch_up="boot or `repair --db`"
+                )
         return code
 
     if magic == b"BBSF":
@@ -918,7 +868,7 @@ def _cmd_check(args) -> int:
         print(f"{path}: clean — slice file, {bbs.n_transactions} "
               f"transaction(s)")
         if args.db:
-            return _audit_index_against_db(path, args.db, diskbbs=False)
+            return _audit_index_against_db(bbs, args.db, catch_up="boot")
         return EXIT_CLEAN
 
     if magic == DATA_MAGIC:
@@ -936,34 +886,41 @@ def _cmd_check(args) -> int:
     )
 
 
-def _audit_index_against_db(index_path: Path, db_path: str, *, diskbbs: bool) -> int:
-    from repro.storage.recovery import EXIT_CLEAN, EXIT_CORRUPT
+def _audit_index_against_db(index, db_path: str, *, catch_up: str) -> int:
+    """Audit ``index`` against its database's first ``n`` records: the
+    rest is behind (exit 3, which ``catch_up`` mends), a mismatch in the
+    prefix or an index ahead of its database is corrupt (exit 4)."""
+    import itertools
+
+    from repro.data.database import TransactionDatabase
+    from repro.storage.recovery import EXIT_CLEAN, EXIT_CORRUPT, EXIT_TORN
     from repro.tools.verify import verify_index
 
+    covered = index.n_transactions
     with DiskDatabase(db_path) as db:
-        if diskbbs:
-            from repro.storage.diskbbs import DiskBBS
-
-            with DiskBBS.open(index_path) as index:
-                report = verify_index(index, db)
-        else:
-            report = verify_index(BBS.load(index_path), db)
-    if report.ok:
-        print(f"index audit vs {db_path}: OK "
-              f"({report.checked_patterns} counts checked)")
-        return EXIT_CLEAN
-    print(f"index audit vs {db_path}: {len(report.issues)} issue(s)")
-    for issue in report.issues:
-        print(f"  - {issue}")
-    return EXIT_CORRUPT
+        behind = len(db) - covered
+        prefix = TransactionDatabase(itertools.islice(db, covered))
+    report = verify_index(index, prefix)
+    if not report.ok:
+        print(f"index audit vs {db_path}: {len(report.issues)} issue(s)")
+        for issue in report.issues:
+            print(f"  - {issue}")
+        return EXIT_CORRUPT
+    print(f"index audit vs {db_path}: OK "
+          f"({report.checked_patterns} counts checked)")
+    if behind:
+        print(f"index audit vs {db_path}: behind by {behind} "
+              f"transaction(s) ({catch_up} catches up)")
+        return EXIT_TORN
+    return EXIT_CLEAN
 
 
 def _cmd_repair(args) -> int:
-    from repro.storage.recovery import salvage_index
+    from repro.storage.recovery import salvage_index, sniff_magic
     from repro.storage.txfile import DATA_MAGIC, salvage_txfile
 
     path = Path(args.index)
-    magic = _sniff_magic(path)
+    magic = sniff_magic(path)
 
     if magic == b"BBSD":
         stats = IOStats()
@@ -1028,7 +985,7 @@ _COMMANDS = {
     "check": _cmd_check,
     "repair": _cmd_repair,
     "serve": _cmd_serve,
-    "shard-serve": _cmd_shard_serve,
+    "shard-serve": _cmd_serve,
     "query": _cmd_query,
     "lint": _cmd_lint,
     "example": _cmd_example,

@@ -392,6 +392,9 @@ class PatternService(OpService):
         frequent set.
     cache_entries / mine_threads:
         Result-cache capacity and background mining thread count.
+    journal:
+        The durable append log.  Its tokens are the tids in the token
+        band of ``database``, which re-seed the idempotency window.
     """
 
     def __init__(
@@ -404,7 +407,6 @@ class PatternService(OpService):
         mine_threads: int = 2,
         journal=None,
         idempotency_capacity: int = 4096,
-        idempotency_seed=None,
         role: str = "primary",
         upstream: str | None = None,
     ):
@@ -428,8 +430,14 @@ class PatternService(OpService):
         self.journal = journal
         self.replication = ReplicationState(role=role, upstream=upstream)
         self.idempotency = IdempotencyWindow(idempotency_capacity)
-        if idempotency_seed:
-            self.idempotency.seed(idempotency_seed)
+        if journal is not None:
+            # Re-seeding from the journal tids lets dedupe survive a
+            # restart (and, on a follower, a promotion).
+            self.idempotency.seed(
+                (tid, position)
+                for position, tid in enumerate(database.tids())
+                if tid >= TOKEN_MIN
+            )
         self.mode = "ok"  # "ok" | "degraded"
         self.degraded_reason: str | None = None
         self.degraded_since: float | None = None

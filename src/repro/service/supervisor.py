@@ -68,23 +68,19 @@ def _salvage_before_start(args, announce) -> None:
     loop.
     """
     from repro.service.replication import salvage_journal
+    from repro.storage.recovery import salvage_index, sniff_magic
 
     report = salvage_journal(args.db)
     if report.repaired:
         announce(f"supervisor: salvaged {args.db}: "
                  f"{'; '.join(report.actions)}")
-    if args.index:
-        with open(args.index, "rb") as fh:
-            magic = fh.read(4)
-        if magic == b"BBSD":
-            from repro.storage.recovery import salvage_index
-
-            index_report = salvage_index(args.index)
-            if index_report.repaired:
-                announce(
-                    f"supervisor: salvaged {args.index}: "
-                    f"{'; '.join(index_report.actions)}"
-                )
+    if args.index and sniff_magic(args.index) == b"BBSD":
+        index_report = salvage_index(args.index)
+        if index_report.repaired:
+            announce(
+                f"supervisor: salvaged {args.index}: "
+                f"{'; '.join(index_report.actions)}"
+            )
 
 
 def _promote_standby(address: str, announce) -> int:
@@ -111,26 +107,30 @@ def _promote_standby(address: str, announce) -> int:
     return 0
 
 
-#: ``serve`` options the worker inherits verbatim, by attribute name.
-_WORKER_OPTIONS = (
-    "db", "index", "m", "k", "host", "max_connections", "timeout",
-    "cache_entries", "track", "scrub_interval", "read_queue",
-    "write_queue", "mine_queue", "brownout_after", "brownout_recover",
-)
+#: ``serve`` options that configure the supervisor, not its worker.
+_SUPERVISOR_OPTIONS = ("supervise", "max_restarts", "standby")
 
 
 def _worker_argv(args, port: int) -> list[str]:
-    """The child's command line: this serve config minus --supervise."""
+    """The child's command line on the pinned ``port``: every option of
+    ``args.parser`` (the ``serve`` parser) that differs from its default,
+    but the supervisor's own."""
     argv = [sys.executable, "-m", "repro"]
     if args.kernel is not None:
         argv += ["--kernel", args.kernel]
     argv += ["serve", "--port", str(port)]
-    for name in _WORKER_OPTIONS:
-        value = getattr(args, name)
-        if value is not None:
-            argv += ["--" + name.replace("_", "-"), str(value)]
-    if args.durable:
-        argv.append("--durable")
+    for action in args.parser._actions:
+        if action.dest in _SUPERVISOR_OPTIONS or action.dest == "port":
+            continue
+        value = getattr(args, action.dest, action.default)
+        if value == action.default:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a store_true flag
+            argv.append(flag)
+        else:  # an append option holds a list, one flag per value
+            for item in value if isinstance(value, list) else [value]:
+                argv += [flag, str(item)]
     return argv
 
 

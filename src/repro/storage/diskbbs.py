@@ -336,13 +336,15 @@ class DiskBBS:
             )
 
     def close(self) -> None:
-        """Flush the tail and close the file handle."""
+        """Flush the tail and close the file handle, even if that fails."""
         if self._file is not None:
-            if self._tail is not None and self._tail.n_transactions:
-                self.flush()
-            self._file.close()
-            self._file = None
-            self._tail = None
+            try:
+                if self._tail is not None and self._tail.n_transactions:
+                    self.flush()
+            finally:
+                self._file.close()
+                self._file = None
+                self._tail = None
 
     def __enter__(self) -> "DiskBBS":
         return self

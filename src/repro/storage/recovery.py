@@ -31,6 +31,7 @@ Everything here works on the file, not on an open store; use
 
 from __future__ import annotations
 
+import itertools
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -325,20 +326,7 @@ def _rebuild_missing(
     kwargs = {} if stats is None else {"stats": stats}
     store = DiskBBS.open(target, **kwargs)
     try:
-        committed = store.n_transactions
-        seen = 0
-        inserted = 0
-        for transaction in _iter_transactions(db):
-            if seen >= committed:
-                store.insert(transaction)
-                inserted += 1
-            seen += 1
-        if seen < committed:
-            raise DatabaseMismatchError(
-                f"transaction source holds {seen} transaction(s) but "
-                f"{target} already covers {committed}; refusing to "
-                f"rebuild from a source that cannot be its companion"
-            )
+        inserted = catch_up_index(store, _iter_transactions(db))
     finally:
         store.close()
     report.rebuilt_transactions = inserted
@@ -350,6 +338,39 @@ def _rebuild_missing(
         )
         if stats is not None:
             stats.rebuilt_transactions += inserted
+
+
+def catch_up_index(index, transactions) -> int:
+    """Insert every transaction past ``index.n_transactions``; how many.
+
+    The one catch-up of an index behind its source, for boot and for
+    :func:`salvage_index`.  A source shorter than the index cannot be
+    its companion: that raises :class:`~repro.errors.DatabaseMismatchError`
+    before anything is inserted.
+    """
+    covered = index.n_transactions
+    records = iter(transactions)
+    held = sum(1 for _ in itertools.islice(records, covered))
+    if held < covered:
+        raise DatabaseMismatchError(
+            f"transaction source holds {held} transaction(s) but "
+            f"{getattr(index, 'path', 'the index')} already covers "
+            f"{covered}; refusing to catch up from a source that cannot "
+            f"be its companion"
+        )
+    inserted = 0
+    for inserted, transaction in enumerate(records, 1):
+        index.insert(transaction)
+    return inserted
+
+
+def sniff_magic(path) -> bytes:
+    """The 4-byte magic that names a repro file's format."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(4)
+    except OSError as exc:
+        raise StorageError(f"cannot read {path}: {exc}", path=path) from exc
 
 
 def _iter_transactions(db):

@@ -348,3 +348,186 @@ class TestQueryCommand:
         )
         assert code == 1
         assert "connect" in err.lower() or "refused" in err.lower()
+
+
+def _subparsers():
+    """The subcommand parsers of the real CLI, by name."""
+    import argparse
+
+    from repro.cli import _build_parser
+
+    (sub,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sub.choices
+
+
+def _option_table(parser):
+    """Every option of ``parser``: strings, default, required, choices,
+    action kind and type."""
+    return {
+        action.dest: (
+            tuple(action.option_strings), action.default, action.required,
+            action.choices, type(action).__name__,
+            getattr(action.type, "__name__", None),
+        )
+        for action in parser._actions
+    }
+
+
+_STORE, _TRUE, _APPEND = "_StoreAction", "_StoreTrueAction", "_AppendAction"
+
+#: The options ``serve`` and ``shard-serve`` share (``shard-serve``
+#: requires ``--db``).
+_NODE_OPTIONS = {
+    "help": (("-h", "--help"), "==SUPPRESS==", False, None, "_HelpAction",
+             None),
+    "db": (("--db",), None, False, None, _STORE, None),
+    "index": (("--index",), None, False, None, _STORE, None),
+    "m": (("--m",), 1600, False, None, _STORE, "int"),
+    "k": (("--k",), 4, False, None, _STORE, "int"),
+    "host": (("--host",), "127.0.0.1", False, None, _STORE, None),
+    "port": (("--port",), 0, False, None, _STORE, "int"),
+    "max_connections": (("--max-connections",), 64, False, None, _STORE,
+                        "int"),
+    "timeout": (("--timeout",), 30.0, False, None, _STORE, "float"),
+    "cache_entries": (("--cache-entries",), 4096, False, None, _STORE, "int"),
+    "track": (("--track",), None, False, None, _STORE, "int"),
+    "scrub_interval": (("--scrub-interval",), 0.25, False, None, _STORE,
+                       "float"),
+    "follower": (("--follower",), None, False, None, _STORE, None),
+    "read_queue": (("--read-queue",), 512, False, None, _STORE, "int"),
+    "write_queue": (("--write-queue",), 256, False, None, _STORE, "int"),
+    "mine_queue": (("--mine-queue",), 32, False, None, _STORE, "int"),
+    "brownout_after": (("--brownout-after",), 4, False, None, _STORE, "int"),
+    "brownout_recover": (("--brownout-recover",), 2.0, False, None, _STORE,
+                         "float"),
+}
+
+_SERVE_ONLY_OPTIONS = {
+    "primary": (("--primary",), False, False, None, _TRUE, None),
+    "durable": (("--durable",), False, False, None, _TRUE, None),
+    "supervise": (("--supervise",), False, False, None, _TRUE, None),
+    "max_restarts": (("--max-restarts",), 16, False, None, _STORE, "int"),
+    "standby": (("--standby",), None, False, None, _STORE, None),
+    "router": (("--router",), False, False, None, _TRUE, None),
+    "shard": (("--shard",), None, False, None, _APPEND, None),
+    "shard_follower": (("--shard-follower",), None, False, None, _APPEND,
+                       None),
+    "shardmap": (("--shardmap",), None, False, None, _STORE, None),
+}
+
+
+class TestServeOptions:
+    def test_serve_options_are_pinned(self):
+        serve = _subparsers()["serve"]
+        assert _option_table(serve) == {**_NODE_OPTIONS, **_SERVE_ONLY_OPTIONS}
+        groups = [
+            sorted(action.dest for action in group._group_actions)
+            for group in serve._mutually_exclusive_groups
+        ]
+        assert groups == [["follower", "primary"]]
+
+    def test_shard_serve_options_are_pinned(self):
+        shard = _subparsers()["shard-serve"]
+        assert _option_table(shard) == {
+            **_NODE_OPTIONS,
+            "db": (("--db",), None, True, None, _STORE, None),
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["serve"], ["shard-serve", "--db", "d.tx"],
+    ])
+    def test_overload_defaults_are_the_admission_defaults(self, argv):
+        import inspect
+
+        from repro.cli import _build_parser
+        from repro.service.server import (
+            DEFAULT_ADMISSION_LIMITS,
+            AdmissionController,
+        )
+
+        args = _build_parser().parse_args(argv)
+        ctor = inspect.signature(AdmissionController).parameters
+        assert args.read_queue == DEFAULT_ADMISSION_LIMITS["read"].max_queue
+        assert args.write_queue == DEFAULT_ADMISSION_LIMITS["write"].max_queue
+        assert args.mine_queue == ctor["mine_backlog"].default
+        assert args.brownout_after == ctor["brownout_after"].default
+        assert args.brownout_recover == ctor["brownout_recover_s"].default
+
+
+class TestServeBoot:
+    def test_boot_reads_the_journal_once_and_keeps_its_tids(
+        self, tmp_path, monkeypatch
+    ):
+        import asyncio
+
+        from repro.cli import _build_parser, _open_service
+        from repro.service.handlers import PatternService
+        from repro.service.resilience import TOKEN_MIN
+        from repro.storage.txfile import (
+            TransactionFileReader,
+            TransactionFileWriter,
+        )
+
+        path = tmp_path / "journal.tx"
+        records = [
+            ([1, 2], None), ([2, 3], TOKEN_MIN + 7), ([3, 4], None),
+            ([1, 4], TOKEN_MIN + 9), ([2, 4], None),
+        ]
+        with TransactionFileWriter(path) as writer:
+            for items, tid in records:
+                writer.append(items, tid=tid)
+        with TransactionFileReader(path) as reader:
+            journal_tids = [tid for _, tid, _ in reader.scan()]
+        assert journal_tids == [0, TOKEN_MIN + 7, 2, TOKEN_MIN + 9, 4]
+
+        scans = []
+        real_scan = TransactionFileReader.scan
+
+        def counted_scan(reader):
+            scans.append(reader.path)
+            return real_scan(reader)
+
+        monkeypatch.setattr(TransactionFileReader, "scan", counted_scan)
+        service = _open_service(_build_parser().parse_args([
+            "serve", "--durable", "--db", str(path), "--m", "64",
+        ]))
+        try:
+            assert scans == [path]
+            assert [
+                service.database.tid(p) for p in range(len(records))
+            ] == journal_tids
+            replay = asyncio.run(PatternService._OPS["append"](
+                service, {"items": [1, 4], "token": TOKEN_MIN + 9}
+            ))
+            assert replay["deduped"] is True
+            assert replay["position"] == 3
+            assert len(service.database) == len(records)
+        finally:
+            service.close()
+
+    def test_index_ahead_of_its_journal_exits_1(self, tmp_path, capsys_run):
+        import re
+
+        from repro.storage.diskbbs import DiskBBS
+        from repro.storage.txfile import TransactionFileWriter
+
+        transactions = [[i % 5 + 1, i % 3 + 10] for i in range(11)]
+        db_path = tmp_path / "short.tx"
+        with TransactionFileWriter(db_path) as writer:
+            for items in transactions[:7]:
+                writer.append(items)
+        idx_path = tmp_path / "long.bbsd"
+        with DiskBBS.create(idx_path, m=64) as index:
+            for items in transactions:
+                index.insert(items)
+        code, _, err = capsys_run(
+            "serve", "--durable", "--db", str(db_path),
+            "--index", str(idx_path), "--port", "0", "--scrub-interval", "0",
+        )
+        assert code == 1
+        message = err.replace(str(tmp_path), "")
+        assert re.search(r"\b7\b", message), err
+        assert re.search(r"\b11\b", message), err

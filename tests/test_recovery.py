@@ -10,6 +10,9 @@ byte offset of an append and recovering each time.
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import pytest
 
 from repro.data.diskdb import DiskDatabase
@@ -186,6 +189,26 @@ class TestFlushErrorHandling:
         store.flush()
         assert store.n_transactions == len(COMMITTED) + len(PENDING)
         store.close()
+        assert inspect_index(idx).status == CLEAN
+
+    def test_failed_final_seal_still_closes_the_file(self, tmp_path):
+        idx = tmp_path / "close.bbsd"
+        build_index(idx)
+        size_before = idx.stat().st_size
+        store = DiskBBS.open(idx)
+        for tx in PENDING:
+            store.insert(tx)
+        handle = store._file
+        arm_diskbbs(store, FaultPlan(error_after_bytes=30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(StorageError):
+                store.close()
+            assert handle.closed
+            assert store._file is None
+            del store, handle
+            gc.collect()
+        assert idx.stat().st_size == size_before
         assert inspect_index(idx).status == CLEAN
 
 
@@ -477,6 +500,51 @@ class TestCheckAndRepairCli:
         assert "re-inserted" in out
         code, _ = self.run(capsys, "check", str(idx), "--db", str(db_path))
         assert code == EXIT_CLEAN
+
+    def test_check_db_reports_a_log_behind_its_journal(
+        self, tmp_path, capsys
+    ):
+        tx = [[i % 7 + 1, i % 5 + 10] for i in range(55)]
+        db_path = tmp_path / "j.tx"
+        DiskDatabase.create(db_path, tx).close()
+        idx = tmp_path / "behind.bbsd"
+        build_index(idx, tx[:50])
+
+        code, out = self.run(capsys, "check", str(idx), "--db", str(db_path))
+        assert code == EXIT_TORN
+        assert "behind by 5 transaction(s)" in out
+        assert "underestimates" not in out
+
+        code, _ = self.run(capsys, "repair", str(idx), "--db", str(db_path))
+        assert code == 0
+        code, _ = self.run(capsys, "check", str(idx), "--db", str(db_path))
+        assert code == EXIT_CLEAN
+
+    def test_check_db_damage_inside_the_prefix_stays_corrupt(
+        self, tmp_path, capsys
+    ):
+        tx = [[i % 7 + 1, i % 5 + 10] for i in range(55)]
+        db_path = tmp_path / "j.tx"
+        DiskDatabase.create(db_path, tx).close()
+
+        rotten = tmp_path / "rot.bbsd"
+        build_index(rotten, tx[:50])
+        flip_bit(rotten, rotten.stat().st_size - 30)
+        code, _ = self.run(capsys, "check", str(rotten), "--db", str(db_path))
+        assert code == EXIT_CORRUPT
+
+        # Sealed and CRC-clean, but not the journal's first 50 records.
+        foreign = tmp_path / "foreign.bbsd"
+        build_index(foreign, [[i % 7 + 20] for i in range(50)])
+        code, out = self.run(capsys, "check", str(foreign), "--db", str(db_path))
+        assert code == EXIT_CORRUPT
+        assert "behind" not in out
+
+        ahead = tmp_path / "ahead.bbsd"
+        build_index(ahead, tx + [[1, 10]])
+        code, out = self.run(capsys, "check", str(ahead), "--db", str(db_path))
+        assert code == EXIT_CORRUPT
+        assert "index covers 56 transactions, database has 55" in out
 
     def test_check_and_repair_txfile(self, tmp_path, capsys):
         db_path = tmp_path / "t.tx"

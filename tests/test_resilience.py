@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _open_service, main
 from repro.core.bbs import BBS
 from repro.data.database import TransactionDatabase
 from repro.errors import (
@@ -324,28 +324,22 @@ class TestIdempotentAppend:
     def test_token_survives_restart_via_journal(self, tmp_path):
         path, db, service = make_durable_service(tmp_path)
         token = TOKEN_MIN + 4242
-        run_op(service, "append", {"items": [3, 4], "token": token})
+        position = run_op(
+            service, "append", {"items": [3, 4], "token": token}
+        )["position"]
         service.close()
-        # Boot a second service over the same journal, seeding the
-        # window exactly as ``serve --durable`` does.
-        stats = IOStats()
-        with TransactionFileReader(path) as reader:
-            rows = list(reader.scan())
-            seed = [(tid, pos) for pos, tid, _ in rows if tid >= TOKEN_MIN]
-            transactions = [items for _, _, items in rows]
-        assert seed and seed[0][0] == token
-        db2 = TransactionDatabase(transactions, stats=stats)
-        bbs2 = BBS.from_database(db2, m=128, stats=stats)
-        journal2 = TransactionFileWriter(path, truncate=False, stats=stats)
-        service2 = PatternService(
-            db2, bbs2, journal=journal2, idempotency_seed=seed
-        )
+        # Boot a second service over the same journal through the
+        # ``serve --durable`` boot path.
+        service2 = _open_service(_build_parser().parse_args([
+            "serve", "--durable", "--db", str(path), "--m", "128",
+        ]))
         try:
+            assert service2.database.tid(position) == token
             replay = run_op(
                 service2, "append", {"items": [3, 4], "token": token}
             )
             assert replay["deduped"] is True
-            assert len(db2) == len(transactions)
+            assert len(service2.database) == len(db)
         finally:
             service2.close()
 

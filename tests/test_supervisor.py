@@ -10,6 +10,7 @@ retried appends apply exactly once, token dedupe included.
 
 from __future__ import annotations
 
+import argparse
 import os
 import signal
 import subprocess
@@ -167,6 +168,48 @@ class TestHelpers:
             assert getattr(worker, name) == getattr(args, name), name
         assert worker.mine_queue == 0 and worker.brownout_recover == 7.5
         assert worker.supervise is False
+
+    def test_worker_argv_forwards_every_serve_option(self):
+        """Walks the ``serve`` parser itself: each option set away from
+        its default reaches the worker and parses back to the same
+        value, except the supervisor's own three."""
+        parser = _build_parser()
+        (sub,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        base = ["serve", "--supervise", "--db", "d.tx"]
+        supervisor_only = {"supervise", "max_restarts", "standby"}
+        seen = set()
+        for action in sub.choices["serve"]._actions:
+            if action.dest in ("help", "db", "port", "supervise"):
+                continue
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                extra, want = [flag], True
+            else:
+                if action.type in (int, float):
+                    values = [action.type((action.default or 0) + 3)]
+                else:
+                    values = ["127.0.0.1:9"]
+                if isinstance(action, argparse._AppendAction):
+                    values.append("127.0.0.1:10")
+                extra = [part for value in values for part in (flag, str(value))]
+                want = values if len(values) > 1 else values[0]
+            args = parser.parse_args(base + extra)
+            assert getattr(args, action.dest) == want, action.dest
+            argv = _worker_argv(args, 7777)
+            worker = parser.parse_args(argv[argv.index("-m") + 2:])
+            assert worker.port == 7777 and worker.db == "d.tx"
+            assert "--supervise" not in argv
+            if action.dest in supervisor_only:
+                assert flag not in argv, action.dest
+                assert getattr(worker, action.dest) == action.default
+            else:
+                assert getattr(worker, action.dest) == want, action.dest
+            seen.add(action.dest)
+        assert supervisor_only - {"supervise"} <= seen
+        assert {"durable", "primary", "follower", "shard", "read_queue"} <= seen
 
 
 class TestKill9Durability:
