@@ -492,38 +492,34 @@ class PatternService(OpService):
         """Corruption response: degrade, quarantine, rebuild, re-point.
 
         Called by the scrubber when a checksum fails.  The damaged
-        on-disk index is salvaged (damage quarantined to a ``.quarantine``
-        sibling, lost segments rebuilt from the resident database) and
-        the service re-points at the repaired store.  Serving stays
-        degraded until an explicit ``recover`` confirms the repair —
-        wrong counts are never served from the damaged file because the
-        swap happens before this method returns.
+        on-disk index is recovered in one scan (damage quarantined to a
+        ``.quarantine`` sibling, lost transactions re-inserted from the
+        resident database) and the service re-points at the repaired
+        store.  Serving stays degraded until an explicit ``recover``
+        confirms the repair — wrong counts are never served from the
+        damaged file because the swap happens before this method returns.
         """
         from repro.storage.diskbbs import DiskBBS
-        from repro.storage.recovery import salvage_index
 
         self.enter_degraded(reason)
         index = self.index
         if not isinstance(index, DiskBBS):
             return None  # resident BBS: nothing on disk to quarantine
-        path = index.path
-        old_epoch = index.epoch
-        stats = index.stats
         try:
             index.close()
         except (OSError, StorageError):
             pass  # closing a damaged store is best-effort
-        report = salvage_index(path, db=self.database, stats=stats)
-        fresh = DiskBBS.open(
-            path, stats=stats, flush_threshold=index.flush_threshold
+        fresh = DiskBBS.recover(
+            index.path, db=self.database, stats=index.stats,
+            flush_threshold=index.flush_threshold,
         )
         # The epoch must stay monotonic across the swap: cached counts
         # and in-flight jobs were keyed against the old object's epochs.
-        fresh._epoch = old_epoch + 1
+        fresh._epoch = index.epoch + 1
         self.index = fresh
         self.batcher.index = fresh
         self.cache.clear()  # entries may have been computed from bad bytes
-        return report
+        return fresh.last_recovery
 
     # -- count -------------------------------------------------------------
 

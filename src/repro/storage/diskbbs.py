@@ -31,6 +31,14 @@ that :func:`repro.storage.recovery.salvage_index` (or
 :meth:`DiskBBS.recover`, or ``repro-mine repair``) can truncate away
 without touching committed data.  Version-1 files (no commit records)
 are still readable; new appends always use the durable protocol.
+
+**One reader of the layout.**  :func:`scan_log` is the only code that
+decodes a log: it checks every entry's CRC and commit record, decodes
+its counts, and calls the log clean, torn or corrupt.
+:meth:`DiskBBS.open` refuses what it does not call clean,
+:meth:`DiskBBS.recover` opens on its valid prefix after salvage,
+:func:`~repro.storage.recovery.inspect_index` reports it, and
+:meth:`DiskBBS.verify_segment` re-checks one entry the same way.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +60,7 @@ from repro.errors import (
     ConfigurationError,
     CorruptFileError,
     QueryError,
+    RecoveryError,
     StorageError,
     TornWriteError,
 )
@@ -68,6 +79,12 @@ _BASE_HEAD = struct.Struct("<4sII")      # magic, version, header json len
 _SEG_HEAD = struct.Struct("<4sQII")      # magic, n_tx, n_words, counts len
 _COMMIT = struct.Struct("<4sQQI")        # magic, segment offset, segment len, crc
 _CRC = struct.Struct("<I")
+
+#: What :func:`scan_log` calls a log (also the vocabulary of
+#: ``repro-mine check``).
+CLEAN = "clean"
+TORN = "torn"
+CORRUPT = "corrupt"
 
 
 def commit_record(segment_offset: int, segment_len: int) -> bytes:
@@ -92,17 +109,207 @@ DEFAULT_FLUSH_THRESHOLD = 4096
 DEFAULT_CACHE_PAGES = 256
 
 
+@dataclass(slots=True)
 class _Segment:
-    """Directory entry for one on-disk segment."""
+    """Directory entry for one committed segment.
 
-    __slots__ = ("offset", "matrix_offset", "n_tx", "n_words", "start_tx")
+    ``length`` spans the whole entry: header, counts, matrix, CRC and
+    (format v2) the commit record.
+    """
 
-    def __init__(self, offset, matrix_offset, n_tx, n_words, start_tx):
-        self.offset = offset
-        self.matrix_offset = matrix_offset
-        self.n_tx = n_tx
-        self.n_words = n_words
-        self.start_tx = start_tx
+    offset: int
+    matrix_offset: int
+    n_tx: int
+    n_words: int
+    length: int
+    start_tx: int = 0
+
+
+@dataclass
+class LogScan:
+    """What one pass of :func:`scan_log` found in a segment log.
+
+    ``segments``, ``item_counts``, ``signature_bits`` and
+    ``transactions`` describe the committed prefix, which ends at
+    :attr:`good_end`.  ``status`` is :data:`CLEAN`, or :data:`TORN` /
+    :data:`CORRUPT` with the offset and cause of the first damaged
+    entry.  An open :class:`DiskBBS` keeps its scan as its segment
+    directory, and :meth:`DiskBBS.flush` extends it through :meth:`add`.
+    """
+
+    path: str
+    format_version: int
+    hash_family: HashFamily
+    base_length: int
+    size: int
+    segments: list[_Segment] = field(default_factory=list)
+    item_counts: Counter = field(default_factory=Counter)
+    signature_bits: int = 0
+    transactions: int = 0
+    status: str = CLEAN
+    damage_offset: int | None = None
+    detail: str | None = None
+
+    @property
+    def good_end(self) -> int:
+        """Byte length of the committed prefix."""
+        if not self.segments:
+            return self.base_length
+        last = self.segments[-1]
+        return last.offset + last.length
+
+    def add(self, segment: _Segment, counts: dict, signature_bits: int) -> None:
+        """Fold one committed segment and its counts delta into the directory."""
+        segment.start_tx = self.transactions
+        self.segments.append(segment)
+        self.transactions += segment.n_tx
+        self.item_counts.update(counts)
+        self.signature_bits += signature_bits
+
+
+class _Damage(Exception):
+    """The first damaged entry of a log: its status and cause."""
+
+    def __init__(self, status: str, detail: str):
+        super().__init__(detail)
+        self.status = status
+
+
+def scan_log(fh, path, stats: IOStats | None = None) -> LogScan:
+    """Check a segment log entry by entry; the one reader of its layout.
+
+    Reads the base header, then one entry at a time — segment header,
+    counts, matrix, CRC and (format v2) the commit record — verifying
+    every seal and decoding every counts delta, and stops at the first
+    damaged entry.  Damage that runs off the end of the file is a torn
+    append; damage with all its bytes present is corruption.  The pages
+    read are charged to ``stats``.  Raises
+    :class:`~repro.errors.CorruptFileError` only when the base header
+    is unreadable: no salvage can mend that.
+    """
+    size = fh.seek(0, 2)
+    fh.seek(0)
+    head = fh.read(_BASE_HEAD.size)
+    if len(head) < _BASE_HEAD.size:
+        raise CorruptFileError(
+            f"{path} is {size} bytes, too short for a DiskBBS base header",
+            path=path, offset=0,
+        )
+    magic, version, header_len = _BASE_HEAD.unpack(head)
+    if magic != BASE_MAGIC:
+        raise CorruptFileError(
+            f"{path} is not a DiskBBS index (magic {magic!r})",
+            path=path, offset=0,
+        )
+    if version not in READABLE_VERSIONS:
+        raise CorruptFileError(
+            f"{path} is format version {version}, this library reads "
+            f"versions {READABLE_VERSIONS}", path=path, offset=4,
+        )
+    header_end = _BASE_HEAD.size + header_len
+    data_start = header_end + (_CRC.size if version >= 2 else 0)
+    if data_start > size:
+        raise CorruptFileError(
+            f"{path}: base header overruns the file "
+            f"(claims {header_len} bytes of JSON)",
+            path=path, offset=_BASE_HEAD.size,
+        )
+    header_blob = fh.read(header_len)
+    if version >= 2:
+        (seal,) = _CRC.unpack(fh.read(_CRC.size))
+        if seal != zlib.crc32(header_blob, zlib.crc32(head)):
+            raise CorruptFileError(
+                f"{path}: base header failed its CRC seal at offset "
+                f"{header_end}", path=path, offset=header_end,
+            )
+    try:
+        family = family_from_description(json.loads(header_blob)["hash_family"])
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptFileError(
+            f"{path}: base header JSON is malformed: {exc}",
+            path=path, offset=_BASE_HEAD.size,
+        ) from exc
+
+    scan = LogScan(str(path), version, family, data_start, size)
+    while scan.good_end < size:
+        pos = scan.good_end
+        try:
+            scan.add(*_read_entry(fh, pos, size, family.m, version, path))
+        except _Damage as damage:
+            scan.status, scan.detail = damage.status, str(damage)
+            scan.damage_offset = pos
+            break
+    if stats is not None:
+        stats.page_reads += _pages(fh.tell(), DEFAULT_PAGE_BYTES)
+    return scan
+
+
+def _read_entry(
+    fh, pos: int, size: int, m: int, version: int, path
+) -> tuple[_Segment, dict, int]:
+    """Read and check the entry at ``pos`` of a file of ``size`` bytes.
+
+    Returns the entry's ``(segment, counts, signature_bits)``; raises
+    :class:`_Damage` when it is not a committed segment whose counts
+    decode.
+    """
+    if size - pos < _SEG_HEAD.size:
+        raise _Damage(TORN, f"torn segment header at offset {pos}")
+    fh.seek(pos)
+    head = fh.read(_SEG_HEAD.size)
+    magic, n_tx, n_words, counts_len = _SEG_HEAD.unpack(head)
+    if magic != SEGMENT_MAGIC:
+        raise _Damage(CORRUPT, f"bad segment magic at offset {pos}")
+    seg_len = _SEG_HEAD.size + counts_len + m * n_words * 8 + _CRC.size
+    length = seg_len + (_COMMIT.size if version >= 2 else 0)
+    if seg_len > size - pos:
+        raise _Damage(
+            TORN, f"segment at offset {pos} runs past EOF "
+                  f"(needs {seg_len} bytes, {size - pos} present)",
+        )
+    if length > size - pos:
+        raise _Damage(TORN, f"segment at offset {pos} has a torn commit record")
+    body = memoryview(fh.read(length - _SEG_HEAD.size))
+    crc_at = seg_len - _SEG_HEAD.size - _CRC.size
+    if version >= 2:
+        commit = body[crc_at + _CRC.size:]
+        cmagic, coffset, clen, ccrc = _COMMIT.unpack(commit)
+        if cmagic != COMMIT_MAGIC or ccrc != zlib.crc32(commit[: -_CRC.size]):
+            # At the tail this is an interrupted append; mid-file it can
+            # only be damage to already-committed state.
+            raise _Damage(
+                TORN if pos + length >= size else CORRUPT,
+                f"invalid commit record at offset {pos + seg_len}",
+            )
+        if coffset != pos or clen != seg_len:
+            raise _Damage(
+                CORRUPT,
+                f"commit record at offset {pos + seg_len} seals offset "
+                f"{coffset} (+{clen}), segment spans {pos} (+{seg_len})",
+            )
+    (stored,) = _CRC.unpack_from(body, crc_at)
+    actual = zlib.crc32(body[:crc_at], zlib.crc32(head))
+    if actual != stored:
+        raise _Damage(
+            CORRUPT, f"segment at offset {pos} failed its CRC "
+                     f"(stored {stored:#010x}, actual {actual:#010x})",
+        )
+    try:
+        delta = json.loads(bytes(body[:counts_len]))
+        counts = {
+            _decode_item(tagged, path): int(count)
+            for tagged, count in delta["item_counts"]
+        }
+        signature_bits = int(delta.get("signature_bits", 0))
+    except (KeyError, TypeError, ValueError, CorruptFileError) as exc:
+        raise _Damage(
+            CORRUPT, f"segment counts at offset {pos + _SEG_HEAD.size} "
+                     f"are malformed: {exc}",
+        ) from exc
+    segment = _Segment(
+        pos, pos + _SEG_HEAD.size + counts_len, n_tx, n_words, length
+    )
+    return segment, counts, signature_bits
 
 
 class DiskBBS:
@@ -125,14 +332,11 @@ class DiskBBS:
         self.stats = stats if stats is not None else IOStats()
         self._cache = PageCache(cache_pages, self.stats)
         self._file = None
-        self._segments: list[_Segment] = []
-        self._counts = ItemCountTable()
-        self._signature_bits = 0
+        #: The scan this store opened on, extended by every flush.
+        self._log: LogScan | None = None
         self.hash_family: HashFamily | None = None
         self._tail: BBS | None = None
         self._epoch = 0
-        self._format_version = FORMAT_VERSION
-        self._base_length = 0
         #: The :class:`~repro.storage.recovery.RecoveryReport` of the
         #: salvage pass that opened this store, when :meth:`recover` was
         #: used; ``None`` for a plain :meth:`open`.
@@ -172,12 +376,14 @@ class DiskBBS:
 
     @classmethod
     def open(cls, path, **kwargs) -> "DiskBBS":
-        """Open an existing index file, scanning its segment directory.
+        """Open an existing index file after one :func:`scan_log` of it.
 
-        The scan is strict: a torn tail raises
-        :class:`~repro.errors.TornWriteError` and other structural
-        damage raises :class:`~repro.errors.CorruptFileError`.  Use
-        :meth:`recover` to salvage instead of refusing.
+        The scan verifies every CRC and commit record and decodes every
+        segment's counts.  A log it does not call clean is refused, and
+        the file closed again: a torn tail raises
+        :class:`~repro.errors.TornWriteError`, other damage
+        :class:`~repro.errors.CorruptFileError`.  Use :meth:`recover`
+        to salvage instead of refusing.
         """
         store = cls(path, **kwargs)
         store._open()
@@ -187,153 +393,75 @@ class DiskBBS:
     def recover(cls, path, db=None, *, quarantine: bool = True, **kwargs) -> "DiskBBS":
         """Salvage a possibly-damaged index file, then open it.
 
-        Torn (uncommitted) tails are truncated; corrupt committed
-        segments are quarantined and, when a companion transaction
-        source ``db`` is supplied (a path to a transaction file, a
-        :class:`~repro.data.diskdb.DiskDatabase`, or any iterable of
-        transactions), the lost suffix is rebuilt from it.  The
+        One scan classifies the log.  Torn (uncommitted) tails are
+        truncated; corrupt committed segments are quarantined; the store
+        then opens on that scan's valid prefix.  When a companion
+        transaction source ``db`` is supplied (a path to a transaction
+        file, a :class:`~repro.data.diskdb.DiskDatabase`, or any
+        iterable of transactions), the transactions the log lacks are
+        re-inserted from it into the tail.  The
         :class:`~repro.storage.recovery.RecoveryReport` describing what
-        was done is attached as :attr:`last_recovery`.
+        was done is attached as :attr:`last_recovery`.  Damage to the
+        base header raises :class:`~repro.errors.RecoveryError`.
         """
-        from repro.storage.recovery import salvage_index
+        from repro.storage.recovery import rebuild_missing, salvage_scan
 
         store = cls(path, **kwargs)
-        report = salvage_index(
-            path, db=db, quarantine=quarantine, stats=store.stats
-        )
-        store._open()
+        try:
+            scan = store._scan()
+        except CorruptFileError as exc:
+            raise RecoveryError(
+                f"cannot salvage {store.path}: {exc} (rebuild the index "
+                f"from its database with `repro-mine index`)",
+                path=store.path,
+            ) from exc
+        try:
+            report = salvage_scan(
+                store._file, scan, quarantine=quarantine, stats=store.stats
+            )
+            store._adopt(scan)
+            if db is not None:
+                rebuild_missing(store, db, report)
+        except BaseException:
+            store.close()
+            raise
         store.last_recovery = report
         return store
 
     def _open(self) -> None:
+        """Scan the file and serve it, refusing a log that is not clean."""
+        scan = self._scan()
+        if scan.status != CLEAN:
+            self._file.close()
+            self._file = None
+            refusal = TornWriteError if scan.status == TORN else CorruptFileError
+            raise refusal(
+                f"{self.path}: {scan.detail} ({scan.status}; run "
+                f"`repro-mine repair` to salvage)",
+                path=self.path, offset=scan.damage_offset,
+            )
+        self._adopt(scan)
+
+    def _scan(self) -> LogScan:
+        """Open the file and scan it; the file is closed if the scan raises."""
         try:
             self._file = open(self.path, "r+b")
         except OSError as exc:
             raise StorageError(
                 f"cannot open index {self.path}: {exc}", path=self.path
             ) from exc
-        head = self._file.read(_BASE_HEAD.size)
-        if len(head) < _BASE_HEAD.size:
-            raise CorruptFileError(
-                f"{self.path} is truncated at byte {len(head)} "
-                f"(base header needs {_BASE_HEAD.size} bytes)",
-                path=self.path, offset=0,
-            )
-        magic, version, header_len = _BASE_HEAD.unpack(head)
-        if magic != BASE_MAGIC:
-            raise CorruptFileError(
-                f"{self.path} is not a DiskBBS index (magic {magic!r} "
-                f"at offset 0)", path=self.path, offset=0,
-            )
-        if version not in READABLE_VERSIONS:
-            raise CorruptFileError(
-                f"{self.path} is format version {version}, this library "
-                f"reads versions {READABLE_VERSIONS}",
-                path=self.path, offset=4,
-            )
-        self._format_version = version
-        header_blob = self._file.read(header_len)
-        if version >= 2:
-            seal_offset = _BASE_HEAD.size + header_len
-            seal = self._file.read(_CRC.size)
-            actual = zlib.crc32(head + header_blob) & 0xFFFFFFFF
-            if len(seal) < _CRC.size or _CRC.unpack(seal)[0] != actual:
-                raise CorruptFileError(
-                    f"{self.path}: base header failed its CRC seal at "
-                    f"offset {seal_offset}", path=self.path, offset=seal_offset,
-                )
         try:
-            header = json.loads(header_blob)
-            self.hash_family = family_from_description(header["hash_family"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise CorruptFileError(
-                f"{self.path}: base header JSON at offset {_BASE_HEAD.size} "
-                f"is malformed: {exc}",
-                path=self.path, offset=_BASE_HEAD.size,
-            ) from exc
+            return scan_log(self._file, self.path, self.stats)
+        except BaseException:
+            self._file.close()
+            self._file = None
+            raise
+
+    def _adopt(self, scan: LogScan) -> None:
+        """Serve the committed prefix ``scan`` found."""
+        self._log = scan
+        self.hash_family = scan.hash_family
         self._tail = BBS(self.m, self.k, hash_family=self.hash_family)
-        self._base_length = self._file.tell()
-        self._scan_segments()
-
-    def _scan_segments(self) -> None:
-        start_tx = 0
-        while True:
-            offset = self._file.tell()
-            head = self._file.read(_SEG_HEAD.size)
-            if not head:
-                break
-            if len(head) < _SEG_HEAD.size:
-                raise TornWriteError(
-                    f"{self.path}: torn segment header at offset {offset} "
-                    f"(uncommitted append; run `repro-mine repair` to salvage)",
-                    path=self.path, offset=offset,
-                )
-            magic, n_tx, n_words, counts_len = _SEG_HEAD.unpack(head)
-            if magic != SEGMENT_MAGIC:
-                raise CorruptFileError(
-                    f"{self.path}: bad segment magic {magic!r} at offset "
-                    f"{offset}", path=self.path, offset=offset,
-                )
-            counts_blob = self._file.read(counts_len)
-            matrix_offset = self._file.tell()
-            matrix_bytes = self.m * n_words * 8
-            self._file.seek(matrix_bytes, 1)
-            crc_blob = self._file.read(_CRC.size)
-            if len(counts_blob) < counts_len or len(crc_blob) < _CRC.size:
-                raise TornWriteError(
-                    f"{self.path}: torn segment body at offset {offset} "
-                    f"(uncommitted append; run `repro-mine repair` to salvage)",
-                    path=self.path, offset=offset,
-                )
-            segment_end = matrix_offset + matrix_bytes + _CRC.size
-            if self._format_version >= 2:
-                self._read_commit(offset, segment_end)
-            try:
-                deltas = json.loads(counts_blob)
-                for tagged, count in deltas["item_counts"]:
-                    self._counts.merge(
-                        ItemCountTable(
-                            {_decode_item(tagged, self.path): int(count)}
-                        )
-                    )
-                self._signature_bits += int(deltas.get("signature_bits", 0))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CorruptFileError(
-                    f"{self.path}: segment counts at offset "
-                    f"{offset + _SEG_HEAD.size} malformed: {exc}",
-                    path=self.path, offset=offset + _SEG_HEAD.size,
-                ) from exc
-            self._segments.append(
-                _Segment(offset, matrix_offset, int(n_tx), int(n_words), start_tx)
-            )
-            start_tx += int(n_tx)
-
-    def _read_commit(self, segment_offset: int, segment_end: int) -> None:
-        """Consume and validate the commit record sealing one segment."""
-        blob = self._file.read(_COMMIT.size)
-        if len(blob) < _COMMIT.size:
-            raise TornWriteError(
-                f"{self.path}: segment at offset {segment_offset} has no "
-                f"commit record (uncommitted append; run `repro-mine "
-                f"repair` to salvage)",
-                path=self.path, offset=segment_offset,
-            )
-        magic, offset, seg_len, crc = _COMMIT.unpack(blob)
-        sealed = zlib.crc32(blob[: -_CRC.size]) & 0xFFFFFFFF
-        if magic != COMMIT_MAGIC or sealed != crc:
-            raise TornWriteError(
-                f"{self.path}: torn commit record at offset {segment_end} "
-                f"(uncommitted append; run `repro-mine repair` to salvage)",
-                path=self.path, offset=segment_end,
-            )
-        if offset != segment_offset or seg_len != segment_end - segment_offset:
-            raise CorruptFileError(
-                f"{self.path}: commit record at offset {segment_end} "
-                f"seals offset {offset} (+{seg_len}), but its segment "
-                f"spans offset {segment_offset} "
-                f"(+{segment_end - segment_offset})",
-                path=self.path, offset=segment_end,
-            )
 
     def close(self) -> None:
         """Flush the tail and close the file handle, even if that fails."""
@@ -367,8 +495,7 @@ class DiskBBS:
     @property
     def n_transactions(self) -> int:
         """Transactions covered: on-disk segments plus the tail."""
-        on_disk = sum(seg.n_tx for seg in self._segments)
-        return on_disk + (self._tail.n_transactions if self._tail else 0)
+        return self._log.transactions + self.tail_size
 
     @property
     def epoch(self) -> int:
@@ -392,6 +519,10 @@ class DiskBBS:
         return len(self._segments)
 
     @property
+    def _segments(self) -> list[_Segment]:
+        return self._log.segments
+
+    @property
     def tail_size(self) -> int:
         """Transactions buffered in memory, not yet flushed."""
         return self._tail.n_transactions if self._tail else 0
@@ -399,7 +530,7 @@ class DiskBBS:
     @property
     def item_counts(self) -> ItemCountTable:
         """Exact 1-itemset counts across disk segments and the tail."""
-        merged = ItemCountTable(self._counts.as_dict())
+        merged = ItemCountTable(self._log.item_counts)
         if self._tail is not None:
             merged.merge(self._tail.item_counts)
         return merged
@@ -413,7 +544,7 @@ class DiskBBS:
     @property
     def base_length(self) -> int:
         """Byte length of the base-header prologue (magic + JSON + seal)."""
-        return self._base_length
+        return self._log.base_length
 
     def segment_span(self, position: int) -> tuple[int, int]:
         """``(offset, length)`` of one committed segment's full byte span.
@@ -428,14 +559,7 @@ class DiskBBS:
                 f"{len(self._segments)})", path=self.path,
             )
         seg = self._segments[position]
-        length = (
-            (seg.matrix_offset - seg.offset)
-            + self.m * seg.n_words * 8
-            + _CRC.size
-        )
-        if self._format_version >= 2:
-            length += _COMMIT.size
-        return seg.offset, length
+        return seg.offset, seg.length
 
     def segment_info(self, position: int) -> dict:
         """Manifest-facing facts about one committed segment."""
@@ -471,12 +595,12 @@ class DiskBBS:
     @property
     def sealed_item_counts(self) -> ItemCountTable:
         """Exact 1-itemset counts across committed segments only (no tail)."""
-        return ItemCountTable(self._counts.as_dict())
+        return ItemCountTable(self._log.item_counts)
 
     @property
     def sealed_transactions(self) -> int:
         """Transactions covered by committed on-disk segments (no tail)."""
-        return sum(seg.n_tx for seg in self._segments)
+        return self._log.transactions
 
     # -- updates -------------------------------------------------------------------
 
@@ -484,9 +608,7 @@ class DiskBBS:
         """Append one transaction; auto-flushes past the threshold."""
         if self._tail is None:
             raise StorageError("index is closed", path=self.path)
-        position = (
-            sum(seg.n_tx for seg in self._segments) + self._tail.insert(items)
-        )
+        position = self._log.transactions + self._tail.insert(items)
         self._epoch += 1
         if self._tail.n_transactions >= self.flush_threshold:
             self.flush()
@@ -501,8 +623,9 @@ class DiskBBS:
         2. a CRC-sealed commit record — then fsync.
 
         A crash before the second fsync leaves an uncommitted tail that
-        open-time scanning flags as :class:`~repro.errors.TornWriteError`
-        and :meth:`recover` truncates; committed segments are never at
+        :func:`scan_log` calls torn, so :meth:`open` refuses it with
+        :class:`~repro.errors.TornWriteError` and :meth:`recover`
+        truncates it; committed segments are never at
         risk.  On an I/O error (``ENOSPC``, ``EIO``) the file is rolled
         back to its pre-append length and the tail stays buffered in
         memory, so a later ``flush()`` can retry with no data loss.
@@ -555,72 +678,40 @@ class DiskBBS:
             len(segment) + _COMMIT.size, self.page_bytes
         )
 
-        start_tx = sum(seg.n_tx for seg in self._segments)
         matrix_offset = offset + _SEG_HEAD.size + len(counts_blob)
-        self._segments.append(
-            _Segment(offset, matrix_offset, n_tx, slices.shape[1], start_tx)
+        self._log.add(
+            _Segment(
+                offset, matrix_offset, n_tx, slices.shape[1],
+                len(segment) + _COMMIT.size,
+            ),
+            counts, sig_bits,
         )
-        for item, count in counts.items():
-            self._counts.merge(ItemCountTable({item: count}))
-        self._signature_bits += sig_bits
         self._tail = BBS(self.m, self.k, hash_family=self.hash_family)
 
     def verify_segment(self, position: int) -> str | None:
-        """Re-read one committed segment from disk and check its seals.
+        """Re-read one committed segment from disk and check it as the scan does.
 
-        The scrubber's unit of work: verifies the segment body CRC and
-        (format v2) the commit record against the *current bytes on
-        disk*, deliberately bypassing the page cache so bit rot is
-        caught even for rows a hot cache would never re-read.  Returns
-        a problem description, or ``None`` when the segment is sound.
+        The scrubber's unit of work: runs :func:`scan_log`'s entry check
+        (CRC, commit record, counts) on the *current bytes on disk*,
+        deliberately bypassing the page cache so bit rot is caught even
+        for rows a hot cache would never re-read.  Returns a problem
+        description, or ``None`` when the segment is sound.
         ``position`` indexes :attr:`n_segments`; out-of-range positions
         are treated as sound (the directory may have grown/shrunk
         between scheduling and checking).
         """
-        if self._file is None:
-            return None
-        if not 0 <= position < len(self._segments):
+        if self._file is None or not 0 <= position < len(self._segments):
             return None
         seg = self._segments[position]
-        body_len = (seg.matrix_offset - seg.offset) + self.m * seg.n_words * 8
-        total = body_len + _CRC.size
-        if self._format_version >= 2:
-            total += _COMMIT.size
-        self._file.seek(seg.offset)
-        blob = self._file.read(total)
-        self.stats.page_reads += _pages(total, self.page_bytes)
-        if len(blob) < body_len + _CRC.size:
-            return (
-                f"segment {position} at offset {seg.offset} is truncated "
-                f"({len(blob)} of {total} bytes)"
+        size = self._file.seek(0, 2)
+        self.stats.page_reads += _pages(seg.length, self.page_bytes)
+        try:
+            _read_entry(
+                self._file, seg.offset, size, self.m,
+                self._log.format_version, self.path,
             )
-        (stored_crc,) = _CRC.unpack_from(blob, body_len)
-        actual_crc = zlib.crc32(blob[:body_len]) & 0xFFFFFFFF
-        if stored_crc != actual_crc:
-            return (
-                f"segment {position} at offset {seg.offset} failed its "
-                f"body CRC (stored {stored_crc:#010x}, computed "
-                f"{actual_crc:#010x})"
-            )
-        if self._format_version >= 2:
-            commit_blob = blob[body_len + _CRC.size:]
-            if len(commit_blob) < _COMMIT.size:
-                return (
-                    f"segment {position} at offset {seg.offset} lost its "
-                    f"commit record"
-                )
-            magic, offset, seg_len, crc = _COMMIT.unpack(commit_blob)
-            sealed = zlib.crc32(commit_blob[: -_CRC.size]) & 0xFFFFFFFF
-            if (
-                magic != COMMIT_MAGIC
-                or sealed != crc
-                or offset != seg.offset
-                or seg_len != body_len + _CRC.size
-            ):
-                return (
-                    f"segment {position} at offset {seg.offset} has a "
-                    f"damaged commit record"
-                )
+        except _Damage as damage:
+            return f"segment {position}: {damage}"
         return None
 
     # -- slice access -----------------------------------------------------------------
@@ -679,8 +770,7 @@ class DiskBBS:
         if self._tail.n_transactions:
             tail_hits = self._tail.candidate_positions(items)
             if tail_hits.size:
-                start = sum(seg.n_tx for seg in self._segments)
-                pieces.append(tail_hits + start)
+                pieces.append(tail_hits + self._log.transactions)
         if not pieces:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(pieces)
@@ -733,14 +823,13 @@ class DiskBBS:
             fh.write(base_header_block(header))
         self._file.close()
 
-        rewritten = DiskBBS(
+        rewritten = DiskBBS.open(
             tmp_path,
             flush_threshold=self.flush_threshold,
             cache_pages=self._cache.capacity_pages,
             page_bytes=self.page_bytes,
             stats=self.stats,
         )
-        rewritten._open()
         if merged.n_transactions:
             rewritten._tail = merged
             rewritten.flush()
@@ -748,9 +837,6 @@ class DiskBBS:
         rewritten._file.close()
 
         durable_replace(tmp_path, self.path, self.stats)
-        self._segments = []
-        self._counts = ItemCountTable()
-        self._signature_bits = 0
         self._cache.clear()
         self._open()
 
@@ -788,7 +874,7 @@ class DiskBBS:
         counts = self.item_counts.as_dict()
         return BBS._from_raw_state(
             self.hash_family, matrix, self.n_transactions, counts,
-            self._signature_bits + (
+            self._log.signature_bits + (
                 self._tail._signature_bits_total if self._tail else 0
             ),
         )

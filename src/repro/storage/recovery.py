@@ -1,9 +1,11 @@
 """Salvage and recovery for the segmented DiskBBS log.
 
-:meth:`~repro.storage.diskbbs.DiskBBS.open` is deliberately strict: any
-structural damage refuses the open.  This module is the other half of
-the crash-safety story — it classifies damage and repairs what can be
-repaired.  The recovery state machine over a scanned log:
+:func:`~repro.storage.diskbbs.scan_log` is the one reader of the log's
+layout: :meth:`~repro.storage.diskbbs.DiskBBS.open`, this module and the
+scrubber share its classification.  Open refuses any log it does not
+call clean; this module is the other half of the crash-safety story —
+it reports the classification and repairs what can be repaired.  The
+recovery state machine over a scanned log:
 
 1. **clean** — every segment parses, passes its CRC, and is sealed by a
    matching commit record: nothing to do.
@@ -11,60 +13,46 @@ repaired.  The recovery state machine over a scanned log:
    tail: an append that never reached its second fsync barrier (a crash
    or kill mid-:meth:`flush`).  Salvage truncates the tail; no committed
    data is touched.  This is the expected post-crash state.
-3. **corrupt** — a *committed* segment fails its CRC or a commit record
-   contradicts its segment (bit rot, overwrite).  Salvage keeps the
+3. **corrupt** — a *committed* segment fails its CRC or its counts do
+   not decode, or a commit record is invalid before the end of the log
+   or contradicts its segment (bit rot, overwrite).  Salvage keeps the
    longest valid prefix, quarantines the damaged suffix to a
    ``.quarantine`` sibling for forensics, and truncates.  Transactions
    covered by the damaged suffix are lost *unless* a companion
-   transaction source is supplied, in which case the suffix is rebuilt
-   by re-inserting the missing transactions.
+   transaction source is supplied, in which case they are re-inserted.
 
 Only the base header is unsalvageable: it holds the hash-family
 parameters without which the slice matrix is meaningless, so damage
 there raises :class:`~repro.errors.RecoveryError` (rebuild the index
 from its database with ``repro-mine index`` instead).
 
-Everything here works on the file, not on an open store; use
-:meth:`DiskBBS.recover` for salvage-then-open in one step, or
+Everything here works on the file, not on an open store, except the
+two steps :meth:`DiskBBS.recover` runs on its own scan
+(:func:`salvage_scan`, :func:`rebuild_missing`); use
+:meth:`DiskBBS.recover` for salvage-then-open in one scan, or
 ``repro-mine check`` / ``repro-mine repair`` from the shell.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.hashing import family_from_description
-from repro.errors import (
-    CorruptFileError,
-    DatabaseMismatchError,
-    RecoveryError,
-    StorageError,
-)
-from repro.storage.diskbbs import (
-    _BASE_HEAD,
-    _COMMIT,
-    _CRC,
-    _SEG_HEAD,
-    BASE_MAGIC,
-    COMMIT_MAGIC,
-    READABLE_VERSIONS,
-    SEGMENT_MAGIC,
-)
+from repro.errors import DatabaseMismatchError, RecoveryError, StorageError
+from repro.storage.diskbbs import CLEAN, CORRUPT, TORN, LogScan, scan_log
 from repro.storage.durable import (
     durable_write_bytes,
     fsync_dir,
     fsync_file,
 )
-from repro.storage.metrics import DEFAULT_PAGE_BYTES, IOStats
+from repro.storage.metrics import IOStats
 
-#: Status labels (also the vocabulary of ``repro-mine check``).
-CLEAN = "clean"
-TORN = "torn"
-CORRUPT = "corrupt"
+__all__ = [
+    "CLEAN", "CORRUPT", "TORN", "EXIT_CLEAN", "EXIT_CORRUPT", "EXIT_TORN",
+    "RecoveryReport", "catch_up_index", "inspect_index", "rebuild_missing",
+    "salvage_index", "salvage_scan", "sniff_magic",
+]
 
 #: Scripting-friendly exit codes for ``repro-mine check``.
 EXIT_CLEAN = 0
@@ -117,135 +105,31 @@ def inspect_index(path, *, stats: IOStats | None = None) -> RecoveryReport:
     """Deep, read-only scan of a DiskBBS file; classifies but never raises
     for torn/corrupt logs.
 
-    Unlike open-time scanning this verifies every segment CRC and every
-    commit seal (it reads the whole file once).  Raises
+    This is the scan :meth:`DiskBBS.open` runs, verifying every segment
+    CRC, commit seal and counts delta, turned into a report.  Raises
     :class:`~repro.errors.CorruptFileError` only when the file is not a
     readable DiskBBS log at all (missing/foreign/future base header).
     """
     target = Path(path)
     try:
-        blob = target.read_bytes()
+        fh = open(target, "rb")
     except OSError as exc:
         raise StorageError(
             f"cannot read index {target}: {exc}", path=target
         ) from exc
-    if stats is not None:
-        stats.page_reads += (
-            len(blob) + DEFAULT_PAGE_BYTES - 1
-        ) // DEFAULT_PAGE_BYTES
+    with fh:
+        return _report(scan_log(fh, target, stats))
 
-    if len(blob) < _BASE_HEAD.size:
-        raise CorruptFileError(
-            f"{target} is {len(blob)} bytes, too short for a DiskBBS "
-            f"base header", path=target, offset=0,
-        )
-    magic, version, header_len = _BASE_HEAD.unpack_from(blob, 0)
-    if magic != BASE_MAGIC:
-        raise CorruptFileError(
-            f"{target} is not a DiskBBS index (magic {magic!r})",
-            path=target, offset=0,
-        )
-    if version not in READABLE_VERSIONS:
-        raise CorruptFileError(
-            f"{target} is format version {version}, this library reads "
-            f"versions {READABLE_VERSIONS}", path=target, offset=4,
-        )
-    header_end = _BASE_HEAD.size + header_len
-    data_start = header_end + (_CRC.size if version >= 2 else 0)
-    if data_start > len(blob):
-        raise CorruptFileError(
-            f"{target}: base header overruns the file "
-            f"(claims {header_len} bytes of JSON)",
-            path=target, offset=_BASE_HEAD.size,
-        )
-    if version >= 2:
-        stored_seal, = _CRC.unpack_from(blob, header_end)
-        actual_seal = zlib.crc32(blob[:header_end]) & 0xFFFFFFFF
-        if stored_seal != actual_seal:
-            raise CorruptFileError(
-                f"{target}: base header failed its CRC seal at offset "
-                f"{header_end}", path=target, offset=header_end,
-            )
-    try:
-        header = json.loads(blob[_BASE_HEAD.size:header_end])
-        family = family_from_description(header["hash_family"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise CorruptFileError(
-            f"{target}: base header JSON is malformed: {exc}",
-            path=target, offset=_BASE_HEAD.size,
-        ) from exc
 
-    report = RecoveryReport(
-        path=str(target), status=CLEAN, format_version=version,
-        good_end=data_start,
+def _report(scan: LogScan) -> RecoveryReport:
+    return RecoveryReport(
+        path=scan.path, status=scan.status,
+        format_version=scan.format_version,
+        segments_ok=len(scan.segments),
+        committed_transactions=scan.transactions,
+        good_end=scan.good_end, damage_offset=scan.damage_offset,
+        suspect_bytes=scan.size - scan.good_end, detail=scan.detail,
     )
-    m = family.m
-    pos = data_start
-    while pos < len(blob):
-        end, n_tx, problem = _check_entry(blob, pos, m, version)
-        if problem is not None:
-            report.status, report.detail = problem
-            report.damage_offset = pos
-            break
-        report.segments_ok += 1
-        report.committed_transactions += n_tx
-        report.good_end = end
-        pos = end
-    report.suspect_bytes = len(blob) - report.good_end
-    return report
-
-
-def _check_entry(blob: bytes, pos: int, m: int, version: int):
-    """Validate one segment(+commit) entry starting at ``pos``.
-
-    Returns ``(entry_end, n_tx, problem)`` where ``problem`` is ``None``
-    for a fully valid committed entry, else ``(status, detail)``.
-    Damage that runs off the end of the file is a torn append; damage
-    with all its bytes present is corruption.
-    """
-    size = len(blob)
-    if size - pos < _SEG_HEAD.size:
-        return pos, 0, (TORN, f"torn segment header at offset {pos}")
-    magic, n_tx, n_words, counts_len = _SEG_HEAD.unpack_from(blob, pos)
-    if magic != SEGMENT_MAGIC:
-        return pos, 0, (CORRUPT, f"bad segment magic at offset {pos}")
-    seg_len = _SEG_HEAD.size + counts_len + m * n_words * 8 + _CRC.size
-    seg_end = pos + seg_len
-    if seg_end > size:
-        return pos, 0, (
-            TORN, f"segment at offset {pos} runs past EOF "
-                  f"(needs {seg_len} bytes, {size - pos} present)",
-        )
-    commit_end = seg_end + (_COMMIT.size if version >= 2 else 0)
-    if commit_end > size:
-        return pos, 0, (
-            TORN, f"segment at offset {pos} has a torn commit record",
-        )
-    if version >= 2:
-        commit = blob[seg_end:commit_end]
-        cmagic, coffset, clen, ccrc = _COMMIT.unpack(commit)
-        sealed = zlib.crc32(commit[: -_CRC.size]) & 0xFFFFFFFF
-        if cmagic != COMMIT_MAGIC or sealed != ccrc:
-            # At the tail this is an interrupted append; mid-file it can
-            # only be damage to already-committed state.
-            status = TORN if commit_end >= size else CORRUPT
-            return pos, 0, (
-                status, f"invalid commit record at offset {seg_end}",
-            )
-        if coffset != pos or clen != seg_len:
-            return pos, 0, (
-                CORRUPT,
-                f"commit record at offset {seg_end} seals offset "
-                f"{coffset} (+{clen}), segment spans {pos} (+{seg_len})",
-            )
-    stored_crc, = _CRC.unpack_from(blob, seg_end - _CRC.size)
-    actual = zlib.crc32(blob[pos: seg_end - _CRC.size]) & 0xFFFFFFFF
-    if actual != stored_crc:
-        return pos, 0, (
-            CORRUPT, f"segment at offset {pos} failed its CRC "
-                     f"(stored {stored_crc:#010x}, actual {actual:#010x})",
-        )
-    return commit_end, int(n_tx), None
 
 
 def salvage_index(
@@ -269,66 +153,60 @@ def salvage_index(
     raises :class:`~repro.errors.RecoveryError`: the hash-family
     parameters live there and cannot be reconstructed.
     """
-    target = Path(path)
-    try:
-        report = inspect_index(target, stats=stats)
-    except CorruptFileError as exc:
-        raise RecoveryError(
-            f"cannot salvage {target}: {exc} (rebuild the index from its "
-            f"database with `repro-mine index`)", path=target,
-        ) from exc
-
-    if not report.clean:
-        if stats is not None:
-            stats.salvage_events += 1
-        blob = target.read_bytes()
-        suspect = blob[report.good_end:]
-        if quarantine and suspect:
-            qpath = target.with_suffix(target.suffix + ".quarantine")
-            durable_write_bytes(qpath, suspect, stats)
-            report.quarantined_to = str(qpath)
-            report.actions.append(
-                f"quarantined {len(suspect)} byte(s) to {qpath}"
-            )
-            if stats is not None:
-                stats.quarantined_segments += 1
-        try:
-            with open(target, "r+b") as fh:
-                fh.truncate(report.good_end)
-                fsync_file(fh, stats)
-        except OSError as exc:
-            raise RecoveryError(
-                f"cannot truncate {target} to its valid prefix: {exc}",
-                path=target, offset=report.good_end,
-            ) from exc
-        fsync_dir(target.parent, stats)
-        report.truncated_bytes = len(suspect)
-        report.repaired = True
-        report.actions.append(
-            f"truncated {len(suspect)} byte(s); index restored to "
-            f"{report.segments_ok} segment(s) / "
-            f"{report.committed_transactions} transaction(s)"
-        )
-        if stats is not None:
-            stats.torn_bytes_truncated += len(suspect)
-
-    if db is not None:
-        _rebuild_missing(target, db, report, stats)
-    return report
-
-
-def _rebuild_missing(
-    target: Path, db, report: RecoveryReport, stats: IOStats | None
-) -> None:
-    """Re-insert the transactions the salvaged index no longer covers."""
     from repro.storage.diskbbs import DiskBBS
 
     kwargs = {} if stats is None else {"stats": stats}
-    store = DiskBBS.open(target, **kwargs)
+    with DiskBBS.recover(path, db, quarantine=quarantine, **kwargs) as store:
+        return store.last_recovery
+
+
+def salvage_scan(
+    fh, scan: LogScan, *, quarantine: bool, stats: IOStats
+) -> RecoveryReport:
+    """Cut a scanned log back to its valid prefix; returns what was done.
+
+    ``fh`` is the log open for writing and ``scan`` what
+    :func:`~repro.storage.diskbbs.scan_log` found in it.  Past the
+    valid prefix, the bytes are copied to a ``.quarantine`` sibling
+    (unless ``quarantine`` is false) and truncated.
+    """
+    report = _report(scan)
+    if report.clean:
+        return report
+    target = Path(scan.path)
+    stats.salvage_events += 1
+    if quarantine and report.suspect_bytes:
+        fh.seek(report.good_end)
+        qpath = target.with_suffix(target.suffix + ".quarantine")
+        durable_write_bytes(qpath, fh.read(), stats)
+        report.quarantined_to = str(qpath)
+        report.actions.append(
+            f"quarantined {report.suspect_bytes} byte(s) to {qpath}"
+        )
+        stats.quarantined_segments += 1
     try:
-        inserted = catch_up_index(store, _iter_transactions(db))
-    finally:
-        store.close()
+        fh.truncate(report.good_end)
+        fsync_file(fh, stats)
+    except OSError as exc:
+        raise RecoveryError(
+            f"cannot truncate {target} to its valid prefix: {exc}",
+            path=target, offset=report.good_end,
+        ) from exc
+    fsync_dir(target.parent, stats)
+    report.truncated_bytes = report.suspect_bytes
+    report.repaired = True
+    report.actions.append(
+        f"truncated {report.suspect_bytes} byte(s); index restored to "
+        f"{report.segments_ok} segment(s) / "
+        f"{report.committed_transactions} transaction(s)"
+    )
+    stats.torn_bytes_truncated += report.suspect_bytes
+    return report
+
+
+def rebuild_missing(index, db, report: RecoveryReport) -> None:
+    """Re-insert the transactions a salvaged index no longer covers."""
+    inserted = catch_up_index(index, _iter_transactions(db))
     report.rebuilt_transactions = inserted
     if inserted:
         report.repaired = True
@@ -336,8 +214,7 @@ def _rebuild_missing(
             f"re-inserted {inserted} transaction(s) from the companion "
             f"database"
         )
-        if stats is not None:
-            stats.rebuilt_transactions += inserted
+        index.stats.rebuilt_transactions += inserted
 
 
 def catch_up_index(index, transactions) -> int:

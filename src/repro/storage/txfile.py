@@ -26,6 +26,7 @@ salvage when the pair is inconsistent, and fsyncs both files on close.
 from __future__ import annotations
 
 import struct
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,26 +101,37 @@ def _read_data_blob(data_path: Path) -> bytes:
     return blob
 
 
-def _walk_records(blob: bytes) -> tuple[list[int], int]:
-    """Offsets of every complete record, and where the walk stopped."""
+def _walk_pair(path) -> tuple[TxSalvageReport, int, bytes | None]:
+    """The one walk of a transaction-file pair, shared by inspect and salvage.
+
+    Walks the data records and returns the report of what it found
+    (records kept, torn bytes), the offset where the complete records
+    end, and the index bytes those records imply when the stored index
+    disagrees (else ``None``).
+    """
+    data_path = Path(path)
+    blob = _read_data_blob(data_path)
     offsets = []
-    pos = _FILE_HEAD.size
-    while pos < len(blob):
-        if len(blob) - pos < _RECORD_HEAD.size:
-            break  # torn record header
-        _, n_items = _RECORD_HEAD.unpack_from(blob, pos)
-        end = pos + _RECORD_HEAD.size + 4 * n_items
-        if end > len(blob):
+    end = _FILE_HEAD.size
+    while len(blob) - end >= _RECORD_HEAD.size:
+        _, n_items = _RECORD_HEAD.unpack_from(blob, end)
+        record_end = end + _RECORD_HEAD.size + 4 * n_items
+        if record_end > len(blob):
             break  # torn record body
-        offsets.append(pos)
-        pos = end
-    return offsets, pos
-
-
-def _expected_index_bytes(offsets: list[int]) -> bytes:
-    return _FILE_HEAD.pack(INDEX_MAGIC, FORMAT_VERSION) + np.asarray(
+        offsets.append(end)
+        end = record_end
+    report = TxSalvageReport(
+        path=str(data_path), records_kept=len(offsets),
+        data_bytes_truncated=len(blob) - end,
+    )
+    expected_index = _FILE_HEAD.pack(INDEX_MAGIC, FORMAT_VERSION) + np.asarray(
         offsets, dtype="<u8"
     ).tobytes()
+    try:
+        current_index = index_path(path).read_bytes()
+    except OSError:
+        current_index = None
+    return report, end, None if current_index == expected_index else expected_index
 
 
 def inspect_txfile(path, *, stats: IOStats | None = None) -> TxSalvageReport:
@@ -130,23 +142,14 @@ def inspect_txfile(path, *, stats: IOStats | None = None) -> TxSalvageReport:
     writes nothing.  Raises :class:`~repro.errors.RecoveryError` when
     the data header itself is unreadable (unsalvageable).
     """
-    data_path = Path(path)
-    report = TxSalvageReport(path=str(data_path))
-    blob = _read_data_blob(data_path)
+    report, end, rebuilt_index = _walk_pair(path)
     if stats is not None:
         stats.page_reads += 1
-    offsets, pos = _walk_records(blob)
-    report.records_kept = len(offsets)
-    torn = len(blob) - pos
-    if torn:
-        report.data_bytes_truncated = torn
-        report.actions.append(f"{torn} torn byte(s) at offset {pos}")
-    try:
-        current_index = index_path(path).read_bytes()
-    except OSError:
-        current_index = None
-    if current_index != _expected_index_bytes(offsets):
-        report.index_rebuilt = False
+    if report.data_bytes_truncated:
+        report.actions.append(
+            f"{report.data_bytes_truncated} torn byte(s) at offset {end}"
+        )
+    if rebuilt_index is not None:
         report.actions.append(
             "positional index disagrees with the data file"
         )
@@ -162,37 +165,23 @@ def salvage_txfile(path, *, stats: IOStats | None = None) -> TxSalvageReport:
     :class:`~repro.errors.RecoveryError` if the data file's own header
     is unreadable — there is nothing to rebuild from then.
     """
-    data_path = Path(path)
-    idx_path = index_path(path)
-    report = TxSalvageReport(path=str(data_path))
-    blob = _read_data_blob(data_path)
-
-    offsets, pos = _walk_records(blob)
-    report.records_kept = len(offsets)
-
-    torn = len(blob) - pos
+    report, end, rebuilt_index = _walk_pair(path)
+    torn = report.data_bytes_truncated
     if torn:
-        with open(data_path, "r+b") as fh:
-            fh.truncate(pos)
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
             fsync_file(fh, stats)
-        report.data_bytes_truncated = torn
         report.actions.append(
-            f"truncated {torn} torn byte(s) at offset {pos}"
+            f"truncated {torn} torn byte(s) at offset {end}"
         )
         if stats is not None:
             stats.salvage_events += 1
             stats.torn_bytes_truncated += torn
-
-    expected_index = _expected_index_bytes(offsets)
-    try:
-        current_index = idx_path.read_bytes()
-    except OSError:
-        current_index = None
-    if current_index != expected_index:
-        durable_write_bytes(idx_path, expected_index, stats)
+    if rebuilt_index is not None:
+        durable_write_bytes(index_path(path), rebuilt_index, stats)
         report.index_rebuilt = True
         report.actions.append(
-            f"rebuilt positional index ({len(offsets)} offset(s))"
+            f"rebuilt positional index ({report.records_kept} offset(s))"
         )
         if stats is not None and not torn:
             stats.salvage_events += 1
@@ -258,6 +247,8 @@ class TransactionFileWriter:
         if fresh:
             self._data.write(_FILE_HEAD.pack(DATA_MAGIC, FORMAT_VERSION))
             self._index.write(_FILE_HEAD.pack(INDEX_MAGIC, FORMAT_VERSION))
+        #: Records the pair held at open: an untokened tid is a position.
+        self._first_position = (self._index.tell() - _FILE_HEAD.size) // 8
         self.n_written = 0
 
     def _ensure_consistent_tail(self) -> None:
@@ -310,7 +301,9 @@ class TransactionFileWriter:
                 f"[{itemset[0]}, {itemset[-1]}]", path=self.path,
             )
         offset = self._data.tell()
-        record_tid = self.n_written if tid is None else int(tid)
+        record_tid = (
+            self._first_position + self.n_written if tid is None else int(tid)
+        )
         self._data.write(_RECORD_HEAD.pack(record_tid, len(itemset)))
         self._data.write(np.asarray(itemset, dtype="<u4").tobytes())
         self._index.write(struct.pack("<Q", offset))
@@ -344,33 +337,39 @@ class TransactionFileReader:
     def __init__(self, path):
         self.path = Path(path)
         self._index_path = index_path(path)
-        try:
-            self._data = open(self.path, "rb")
-            index_blob = self._index_path.read_bytes()
-        except OSError as exc:
-            raise StorageError(
-                f"cannot open transaction file {path}: {exc}", path=path
-            ) from exc
-        self._check_head(self._data.read(_FILE_HEAD.size), DATA_MAGIC, self.path)
-        self._check_head(index_blob[: _FILE_HEAD.size], INDEX_MAGIC, self._index_path)
-        payload = index_blob[_FILE_HEAD.size:]
-        if len(payload) % 8:
-            raise CorruptFileError(
-                f"index {self._index_path} has a torn tail "
-                f"({len(payload)} payload bytes is not a multiple of 8; "
-                f"run `repro-mine repair` to rebuild it)",
-                path=self._index_path,
-                offset=_FILE_HEAD.size + len(payload) - len(payload) % 8,
+        with ExitStack() as opened:  # closes the data file on a refusal
+            try:
+                self._data = opened.enter_context(open(self.path, "rb"))
+                index_blob = self._index_path.read_bytes()
+            except OSError as exc:
+                raise StorageError(
+                    f"cannot open transaction file {path}: {exc}", path=path
+                ) from exc
+            self._check_head(
+                self._data.read(_FILE_HEAD.size), DATA_MAGIC, self.path
             )
-        self._offsets = np.frombuffer(payload, dtype="<u8")
-        data_size = self.path.stat().st_size
-        if self._offsets.size and int(self._offsets[-1]) >= data_size:
-            raise CorruptFileError(
-                f"index {self._index_path} points at offset "
-                f"{int(self._offsets[-1])} beyond the data file "
-                f"({data_size} bytes; run `repro-mine repair`)",
-                path=self._index_path, offset=int(self._offsets[-1]),
+            self._check_head(
+                index_blob[: _FILE_HEAD.size], INDEX_MAGIC, self._index_path
             )
+            payload = index_blob[_FILE_HEAD.size:]
+            if len(payload) % 8:
+                raise CorruptFileError(
+                    f"index {self._index_path} has a torn tail "
+                    f"({len(payload)} payload bytes is not a multiple of 8; "
+                    f"run `repro-mine repair` to rebuild it)",
+                    path=self._index_path,
+                    offset=_FILE_HEAD.size + len(payload) - len(payload) % 8,
+                )
+            self._offsets = np.frombuffer(payload, dtype="<u8")
+            data_size = self.path.stat().st_size
+            if self._offsets.size and int(self._offsets[-1]) >= data_size:
+                raise CorruptFileError(
+                    f"index {self._index_path} points at offset "
+                    f"{int(self._offsets[-1])} beyond the data file "
+                    f"({data_size} bytes; run `repro-mine repair`)",
+                    path=self._index_path, offset=int(self._offsets[-1]),
+                )
+            opened.pop_all()
 
     @staticmethod
     def _check_head(blob: bytes, magic: bytes, path) -> None:
@@ -450,20 +449,22 @@ class TransactionTailReader:
     def __init__(self, path):
         self.path = Path(path)
         self._index_path = index_path(path)
-        try:
-            self._data = open(self.path, "rb")
-            self._index = open(self._index_path, "rb")
-        except OSError as exc:
-            raise StorageError(
-                f"cannot open transaction file {path} for tailing: {exc}",
-                path=path,
-            ) from exc
-        TransactionFileReader._check_head(
-            self._data.read(_FILE_HEAD.size), DATA_MAGIC, self.path
-        )
-        TransactionFileReader._check_head(
-            self._index.read(_FILE_HEAD.size), INDEX_MAGIC, self._index_path
-        )
+        with ExitStack() as opened:  # closes both files on a refusal
+            try:
+                self._data = opened.enter_context(open(self.path, "rb"))
+                self._index = opened.enter_context(open(self._index_path, "rb"))
+            except OSError as exc:
+                raise StorageError(
+                    f"cannot open transaction file {path} for tailing: {exc}",
+                    path=path,
+                ) from exc
+            TransactionFileReader._check_head(
+                self._data.read(_FILE_HEAD.size), DATA_MAGIC, self.path
+            )
+            TransactionFileReader._check_head(
+                self._index.read(_FILE_HEAD.size), INDEX_MAGIC, self._index_path
+            )
+            opened.pop_all()
         self._offsets: list[int] = []
         self.refresh()
 

@@ -13,9 +13,10 @@ machinery to do that reproducibly, with no subprocesses and no timing:
   data + index pair) so the byte budget spans the whole protocol.
 * :class:`FaultyFile` — a file-object proxy that enforces the plan.  On
   a simulated crash it flushes exactly the bytes "already on disk",
-  closes the real handle, and raises :class:`SimulatedCrash`; every
-  later operation on the dead handle raises again, like writes from a
-  killed process.
+  closes the real handle and every sibling armed with the same plan
+  (at the raw file, so their unflushed buffers are lost), and raises
+  :class:`SimulatedCrash`; every later operation on a dead handle
+  raises again, like writes from a killed process.
 * :func:`faulty_open` — a context manager that patches ``builtins.open``
   so writes to a matching path go through a :class:`FaultyFile`; this
   reaches code that opens its own files (the atomic-save helpers).
@@ -75,6 +76,8 @@ class FaultPlan:
         self.bytes_written = 0
         self.ops = 0
         self.crashed = False
+        #: The real handles armed with this plan; a kill closes them all.
+        self.files: list = []
 
     def disarm(self) -> None:
         """Clear every trigger (e.g. "the disk was cleaned up")."""
@@ -107,6 +110,7 @@ class FaultyFile:
     def __init__(self, fileobj, plan: FaultPlan):
         self._file = fileobj
         self.plan = plan
+        plan.files.append(fileobj)
 
     # -- fault machinery ---------------------------------------------------
 
@@ -119,9 +123,12 @@ class FaultyFile:
         self.plan.crashed = True
         try:
             self._file.flush()
-            self._file.close()
         except OSError:  # pragma: no cover - best effort on teardown
             pass
+        for fileobj in self.plan.files:
+            # Closed at the raw file: a sibling's unflushed userspace
+            # bytes die with the process.
+            getattr(fileobj, "raw", fileobj).close()
         raise SimulatedCrash(
             f"simulated kill after {self.plan.bytes_written} bytes / "
             f"{self.plan.ops} ops"

@@ -14,9 +14,14 @@ import pytest
 from repro.core.bbs import BBS
 from repro.data.database import TransactionDatabase
 from repro.data.diskdb import DiskDatabase
-from repro.errors import CorruptFileError, RecoveryError, StorageError
+from repro.errors import (
+    CorruptFileError,
+    RecoveryError,
+    StorageError,
+    TornWriteError,
+)
 from repro.storage.diskbbs import DiskBBS
-from repro.storage.recovery import CLEAN, inspect_index, salvage_index
+from repro.storage.recovery import CLEAN, TORN, inspect_index, salvage_index
 from repro.storage.slicefile import load_bbs, save_bbs
 from repro.storage.txfile import TransactionFileReader, salvage_txfile
 from repro.testing.faults import flip_bit, truncate_to
@@ -27,12 +32,24 @@ TRANSACTIONS = [[1, 2], [2, 3], [1, 3], [1, 2, 3], [4], [1, 4]]
 CUT_FRACTIONS = [0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
 
 
-def make_diskbbs(path):
+def make_diskbbs(path, segments=1):
     store = DiskBBS.create(path, 32)
-    for tx in TRANSACTIONS:
-        store.insert(tx)
-    store.flush()
+    step = len(TRANSACTIONS) // segments
+    for start in range(0, len(TRANSACTIONS), step):
+        for tx in TRANSACTIONS[start:start + step]:
+            store.insert(tx)
+        store.flush()
     store.close()
+
+
+def assert_refusal_matches_inspect(idx, refused, where):
+    """An open that refused a log is torn exactly when inspect says torn."""
+    try:
+        status = inspect_index(idx).status
+    except CorruptFileError:
+        status = None  # base-header damage: unreadable, never torn
+    assert status != CLEAN, where
+    assert isinstance(refused, TornWriteError) == (status == TORN), where
 
 
 def make_slicefile(path):
@@ -90,7 +107,8 @@ class TestTruncationAlwaysTyped:
             idx.write_bytes(blob[:cut])
             try:
                 store = DiskBBS.open(idx)
-            except (CorruptFileError, StorageError):
+            except (CorruptFileError, StorageError) as refused:
+                assert_refusal_matches_inspect(idx, refused, f"cut at {cut}")
                 continue
             store.close()
             valid_prefixes += 1
@@ -143,19 +161,20 @@ class TestTruncationIsRecoverable:
 
 class TestBitRotAlwaysDetected:
     def test_diskbbs_flip_sweep_never_reads_clean(self, tmp_path):
-        idx = tmp_path / "rot.bbsd"
-        make_diskbbs(idx)
-        blob = idx.read_bytes()
         # Every byte of a DiskBBS file is covered by a CRC (header seal,
-        # segment CRC, or commit-record CRC), so no flip may go unseen.
-        for offset in range(0, len(blob), 7):
-            idx.write_bytes(blob)
-            flip_bit(idx, offset, bit=offset % 8)
-            try:
-                report = inspect_index(idx)
-                assert report.status != CLEAN, f"flip at byte {offset}"
-            except CorruptFileError:
-                pass  # header-level damage: also detected
+        # segment CRC, or commit-record CRC), so no flip may go unseen:
+        # open refuses it, typed as inspect classifies it.
+        for segments in (1, 2):
+            idx = tmp_path / f"rot{segments}.bbsd"
+            make_diskbbs(idx, segments)
+            blob = idx.read_bytes()
+            for offset in range(0, len(blob), 7):
+                idx.write_bytes(blob)
+                flip_bit(idx, offset, bit=offset % 8)
+                where = f"flip at byte {offset} of {segments} segment(s)"
+                with pytest.raises(CorruptFileError) as refused:
+                    DiskBBS.open(idx).close()
+                assert_refusal_matches_inspect(idx, refused.value, where)
 
     def test_slicefile_flip_sweep_never_loads_clean(self, tmp_path):
         path = tmp_path / "rot.bbsf"

@@ -85,6 +85,17 @@ class TestAppend:
         position = disk.append([5], tid=777)
         assert disk.tid(position) == 777
 
+    def test_untokened_tids_stay_positional_across_writer_sessions(
+        self, tmp_path
+    ):
+        disk = DiskDatabase.create(tmp_path / "tids.tx", [[1], [2], [3]])
+        try:
+            disk.append([4])
+            disk.extend([[5], [6]])
+            assert disk.tids() == [0, 1, 2, 3, 4, 5]
+        finally:
+            disk.close()
+
     def test_item_counts_refresh_after_append(self, mirrored):
         _, disk = mirrored
         before = disk.item_counts().get(0, 0)

@@ -111,6 +111,7 @@ class TestErrorInjection:
         with pytest.raises(OSError) as caught:
             fh.write(b"x")
         assert caught.value.errno == errno.EIO
+        fh.close()
 
 
 class TestSharedPlan:

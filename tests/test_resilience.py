@@ -538,6 +538,40 @@ class TestScrubber:
         finally:
             service.index.close()
 
+    def test_recover_and_quarantine_scan_the_log_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.storage import diskbbs, recovery
+
+        scans = []
+        real_scan = diskbbs.scan_log
+
+        def counted_scan(*args, **kwargs):
+            scans.append(args)
+            return real_scan(*args, **kwargs)
+
+        for module in (diskbbs, recovery):
+            monkeypatch.setattr(module, "scan_log", counted_scan)
+        idx_path, db, service = make_disk_service(tmp_path)
+        try:
+            flip_bit(idx_path, service.index._segments[0].matrix_offset + 1)
+            scans.clear()
+            report = service.quarantine_index("test: count the scans")
+            assert report.status == "corrupt" and report.rebuilt_transactions
+            assert len(scans) == 1
+        finally:
+            service.index.close()
+        scans.clear()
+        DiskBBS.recover(idx_path).close()  # clean
+        assert len(scans) == 1
+        with open(idx_path, "ab") as fh:
+            fh.write(b"SEG1\0\0")  # a torn segment header
+        scans.clear()
+        with DiskBBS.recover(idx_path) as store:
+            assert store.last_recovery.status == "torn"
+            assert store.n_transactions == len(db)
+        assert len(scans) == 1
+
     def test_internal_error_stops_scrubber_not_server(self, tmp_path):
         idx_path, db, service = make_disk_service(tmp_path)
         try:
