@@ -72,8 +72,8 @@ JOURNAL_WRITE_OUTSIDE_LOG = ConfinedCall(
     name="journal-write-outside-replication-log",
     rationale=(
         "service-layer journal mutations must go through the "
-        "ReplicationLog API, or a tailing follower can observe a journal "
-        "rewritten behind its reader"
+        "ReplicationLog API, or the journal can diverge from the served "
+        "database that replicate reads its records from"
     ),
     scope="service/",
     sanctioned=("service/replication.py",),

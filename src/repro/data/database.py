@@ -97,6 +97,25 @@ class TransactionDatabase:
         for tx in transactions:
             self.append(tx)
 
+    def copy(self) -> "TransactionDatabase":
+        """An independent copy that shares the immutable transaction tuples.
+
+        Appends to either database leave the other unchanged.  The copy
+        keeps the tids and starts with its own :class:`IOStats` and an
+        empty buffer pool, as a database rebuilt from the same
+        transactions would.
+        """
+        clone = TransactionDatabase(
+            page_bytes=self.page_bytes,
+            probe_cache_pages=self._cache.capacity_pages,
+        )
+        clone._transactions = list(self._transactions)
+        clone._tids = list(self._tids)
+        clone._offsets = list(self._offsets)
+        clone._next_byte = self._next_byte
+        clone._item_counts = Counter(self._item_counts)
+        return clone
+
     # -- introspection ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -125,6 +144,17 @@ class TransactionDatabase:
     def tids(self) -> list[int]:
         """All TIDs in position order (a copy)."""
         return list(self._tids)
+
+    def records(self, start: int, stop: int) -> list[tuple[int, int, tuple]]:
+        """``(position, tid, itemset)`` for positions ``[start, stop)``.
+
+        Unaccounted, like :meth:`tid`: replication serves applied records
+        from here, and that charges no simulated I/O.
+        """
+        return list(zip(
+            range(start, stop), self._tids[start:stop],
+            self._transactions[start:stop],
+        ))
 
     def items(self) -> list:
         """Distinct items present in the database, sorted."""

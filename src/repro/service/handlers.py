@@ -59,6 +59,9 @@ from repro.tools.verify import quick_audit
 #: Finished jobs retained for polling before the oldest are dropped.
 MAX_RETAINED_JOBS = 64
 
+#: Worker threads running a node's background mine jobs.
+MINE_THREADS = 2
+
 #: Itemsets accepted by one ``count_batch`` request.  Keeps the frame
 #: comfortably under MAX_FRAME_BYTES and bounds one request's work.
 MAX_COUNT_BATCH = 1024
@@ -390,8 +393,8 @@ class PatternService(OpService):
         wrapping the same database + index; when present, appends route
         through it and the ``patterns`` op serves its always-current
         frequent set.
-    cache_entries / mine_threads:
-        Result-cache capacity and background mining thread count.
+    cache_entries:
+        Result-cache capacity.
     journal:
         The durable append log.  Its tokens are the tids in the token
         band of ``database``, which re-seed the idempotency window.
@@ -404,9 +407,7 @@ class PatternService(OpService):
         *,
         miner=None,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        mine_threads: int = 2,
         journal=None,
-        idempotency_capacity: int = 4096,
         role: str = "primary",
         upstream: str | None = None,
     ):
@@ -429,7 +430,7 @@ class PatternService(OpService):
             journal = ReplicationLog(journal)
         self.journal = journal
         self.replication = ReplicationState(role=role, upstream=upstream)
-        self.idempotency = IdempotencyWindow(idempotency_capacity)
+        self.idempotency = IdempotencyWindow()
         if journal is not None:
             # Re-seeding from the journal tids lets dedupe survive a
             # restart (and, on a follower, a promotion).
@@ -449,7 +450,7 @@ class PatternService(OpService):
         self.mine_cache = MineResultCache()
         self.batcher = MicroBatcher(index)
         self._executor = ThreadPoolExecutor(
-            max_workers=mine_threads, thread_name_prefix="repro-mine-job"
+            max_workers=MINE_THREADS, thread_name_prefix="repro-mine-job"
         )
         self._io_last = self._io_totals()
         #: Set by the server when a replication tailer is attached, so
@@ -758,15 +759,17 @@ class PatternService(OpService):
         the next boot that record would appear as an un-ACKed append.
         Adopting it now (and re-seeding its token) keeps the running
         process consistent with its own journal, so a client retrying
-        the append is deduped instead of double-applied.
+        the append is deduped instead of double-applied.  Memory holds
+        the journal's first ``len(database)`` records, so only the
+        records past them are read.
         """
         actions: list[str] = []
-        adopted = 0
+        applied = len(self.database)
         with TransactionFileReader(path) as reader:
-            for position, tid, items in reader.scan():
-                if position >= len(self.database):
-                    self._apply(items, tid)
-                    adopted += 1
+            for position in range(applied, len(reader)):
+                tid, items = reader.read_at(position)
+                self._apply(items, tid)
+        adopted = len(self.database) - applied
         if adopted:
             actions.append(
                 f"adopted {adopted} journal record(s) memory never applied"
@@ -838,10 +841,12 @@ class PatternService(OpService):
 
         The tailing op: strictly request/response (one frame per batch,
         like every other op), with an optional bounded long-poll via
-        ``wait_s`` when the follower is caught up.  Only records that
-        are both fsynced *and* applied in memory are served — the batch
-        is capped at ``len(database)``, so a journal-ahead record from
-        a mid-append crash is never replicated before reconcile.
+        ``wait_s`` when the follower is caught up.  The records come
+        from the served database, which holds every applied record at
+        its journal position with its journal tid (each was fsynced
+        before :meth:`_apply`).  So only records that are both fsynced
+        *and* applied are served, and a journal-ahead record from a
+        mid-append crash is never replicated before reconcile.
         """
         self._require_journal("replicate")
         from_position = args.get("from_position")
@@ -879,8 +884,9 @@ class PatternService(OpService):
             )
         if from_position == len(self.database) and wait_s > 0:
             await self._wait_for_growth(from_position, wait_s)
-        limit = min(max_records, len(self.database) - from_position)
-        records = self.journal.read_from(from_position, limit) if limit else []
+        records = self.database.records(
+            from_position, from_position + max_records
+        )
         return {
             "from_position": from_position,
             "records": [
@@ -909,9 +915,7 @@ class PatternService(OpService):
             # applied so far; flush() does not bump the epoch.
             self.index.flush()
         covered = self.index.sealed_transactions
-        high_water_tid = (
-            self.journal.tid_at(covered - 1) if covered else None
-        )
+        high_water_tid = self.database.tid(covered - 1) if covered else None
         return build_manifest(
             self.index, high_water_tid=high_water_tid
         ).as_dict()
@@ -1049,7 +1053,7 @@ class PatternService(OpService):
             submitted_at=time.monotonic(),
             cost=cost,
         )
-        db_snapshot = TransactionDatabase(iter(self.database))
+        db_snapshot = self.database.copy()
         index_snapshot = self._index_snapshot()
         self._jobs.add(job)
         job.future = self._executor.submit(

@@ -8,11 +8,12 @@ secondary-memory pass the mining index is already reconstructible from
 
 * :class:`ReplicationLog` — the service layer's **only** journal write
   surface (lint rule RPR008 enforces this).  It wraps a
-  :class:`~repro.storage.txfile.TransactionFileWriter` and adds the
-  read side replication needs: :meth:`ReplicationLog.read_from` tails
-  the pair through a :class:`~repro.storage.txfile.TransactionTailReader`
-  while appends continue, and :meth:`ReplicationLog.salvage` heals a
-  torn tail in place.
+  :class:`~repro.storage.txfile.TransactionFileWriter`, and
+  :meth:`ReplicationLog.salvage` heals a torn tail in place.  Nothing
+  reads records back through it: every record a node has applied is
+  held, at its journal position and with its journal tid, in the
+  served :class:`~repro.data.database.TransactionDatabase`, and the
+  primary's ``replicate`` op serves followers from there.
 * :class:`ReplicationState` — the role (``primary``/``follower``) and
   catch-up counters the ``status``/``metrics`` ops report, including
   the follower's **lag in tids**.
@@ -63,7 +64,6 @@ from repro.storage.metrics import IOStats
 from repro.storage.snapshot import SnapshotManifest, assemble_index
 from repro.storage.txfile import (
     TransactionFileWriter,
-    TransactionTailReader,
     TxSalvageReport,
     salvage_txfile,
 )
@@ -112,15 +112,14 @@ def salvage_journal(path, *, stats: IOStats | None = None) -> TxSalvageReport:
 class ReplicationLog:
     """The journal, as the service layer is allowed to touch it.
 
-    Wraps the append-only :class:`TransactionFileWriter` with the read
-    side replication needs.  Everything that mutates the journal from
-    ``service/`` — appends, syncs, salvage — goes through this class;
-    lint rule RPR008 flags any other construction site.
+    Wraps the append-only :class:`TransactionFileWriter`.  Everything
+    that mutates the journal from ``service/`` — appends, syncs,
+    salvage — goes through this class; lint rule RPR008 flags any other
+    construction site.
     """
 
     def __init__(self, writer: TransactionFileWriter):
         self.writer = writer
-        self._tail_reader: TransactionTailReader | None = None
 
     @classmethod
     def open(
@@ -132,8 +131,6 @@ class ReplicationLog:
     ) -> "ReplicationLog":
         """Open (by default re-open for append) a journal pair."""
         return cls(TransactionFileWriter(path, truncate=truncate, stats=stats))
-
-    # -- writer surface ------------------------------------------------------
 
     @property
     def path(self):
@@ -152,15 +149,13 @@ class ReplicationLog:
         self.writer.sync()
 
     def close(self) -> None:
-        """Close the writer and any tail reader."""
-        self._drop_tail_reader()
+        """Sync and close the writer."""
         self.writer.close()
 
     def salvage(self) -> TxSalvageReport:
         """Close, heal the pair in place, and re-open for append."""
         path = self.path
         stats = self.stats
-        self._drop_tail_reader()
         try:
             self.writer.close()
         except (OSError, StorageError):
@@ -168,37 +163,6 @@ class ReplicationLog:
         report = salvage_txfile(path, stats=stats)
         self.writer = TransactionFileWriter(path, truncate=False, stats=stats)
         return report
-
-    # -- read surface (tailing) ----------------------------------------------
-
-    def _drop_tail_reader(self) -> None:
-        if self._tail_reader is not None:
-            try:
-                self._tail_reader.close()
-            except OSError:
-                pass  # read handles; nothing durable at stake
-            self._tail_reader = None
-
-    def read_from(
-        self, position: int, limit: int
-    ) -> list[tuple[int, int, tuple[int, ...]]]:
-        """Up to ``limit`` journal records from ``position`` onward.
-
-        Safe to interleave with :meth:`append`: the tail reader only
-        serves records whose index entries are complete on disk.
-        """
-        if self._tail_reader is None:
-            self._tail_reader = TransactionTailReader(self.path)
-        else:
-            self._tail_reader.refresh()
-        return self._tail_reader.read_from(position, limit)
-
-    def tid_at(self, position: int) -> int | None:
-        """The persisted tid of the record at ``position``, or ``None``."""
-        records = self.read_from(position, 1)
-        if not records:
-            return None
-        return records[0][1]
 
     def __enter__(self) -> "ReplicationLog":
         return self

@@ -538,6 +538,10 @@ class RetryingClient(ServiceOps, RetryCore):
                 limiter.release()
 
 
+#: Append tokens a node's dedupe window remembers.
+IDEMPOTENCY_CAPACITY = 4096
+
+
 class IdempotencyWindow:
     """Server-side bounded map of append tokens → applied positions.
 
@@ -549,7 +553,7 @@ class IdempotencyWindow:
     kill -9.
     """
 
-    def __init__(self, capacity: int = 4096):
+    def __init__(self, capacity: int = IDEMPOTENCY_CAPACITY):
         if capacity <= 0:
             raise ValueError("idempotency window capacity must be positive")
         self.capacity = capacity

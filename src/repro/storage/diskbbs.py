@@ -30,7 +30,8 @@ leaves either a fully committed segment or a torn, uncommitted tail
 that :func:`repro.storage.recovery.salvage_index` (or
 :meth:`DiskBBS.recover`, or ``repro-mine repair``) can truncate away
 without touching committed data.  Version-1 files (no commit records)
-are still readable; new appends always use the durable protocol.
+are still readable; the first flush into one rewrites it as version 2
+(:meth:`DiskBBS.compact`), so every append uses the durable protocol.
 
 **One reader of the layout.**  :func:`scan_log` is the only code that
 decodes a log: it checks every entry's CRC and commit record, decodes
@@ -629,9 +630,16 @@ class DiskBBS:
         risk.  On an I/O error (``ENOSPC``, ``EIO``) the file is rolled
         back to its pre-append length and the tail stays buffered in
         memory, so a later ``flush()`` can retry with no data loss.
+
+        A version-1 log has no commit records, so its first flush
+        rewrites it, tail included, as a version-2 log through
+        :meth:`compact`.
         """
         tail = self._tail
         if tail is None or tail.n_transactions == 0:
+            return
+        if self._log.format_version < FORMAT_VERSION:
+            self.compact()
             return
         slices, n_tx, counts, sig_bits = tail._raw_state()
         counts_blob = json.dumps(

@@ -189,29 +189,6 @@ def salvage_txfile(path, *, stats: IOStats | None = None) -> TxSalvageReport:
     return report
 
 
-def _read_record_at(fh, path) -> tuple[int, tuple[int, ...]]:
-    """Read one ``(tid, items)`` record at the handle's current offset."""
-    offset = fh.tell()
-    head = fh.read(_RECORD_HEAD.size)
-    if len(head) < _RECORD_HEAD.size:
-        raise CorruptFileError(
-            f"{path}: record header truncated at offset {offset} "
-            f"({len(head)} of {_RECORD_HEAD.size} bytes)",
-            path=path, offset=offset,
-        )
-    tid, n_items = _RECORD_HEAD.unpack(head)
-    body = fh.read(4 * n_items)
-    if len(body) < 4 * n_items:
-        raise CorruptFileError(
-            f"{path}: record body truncated at offset "
-            f"{offset + _RECORD_HEAD.size} "
-            f"({len(body)} of {4 * n_items} bytes)",
-            path=path, offset=offset + _RECORD_HEAD.size,
-        )
-    items = tuple(int(i) for i in np.frombuffer(body, dtype="<u4"))
-    return tid, items
-
-
 class TransactionFileWriter:
     """Append-only writer keeping data and index in lock-step.
 
@@ -404,7 +381,26 @@ class TransactionFileReader:
         return self._read_record()
 
     def _read_record(self) -> tuple[int, tuple[int, ...]]:
-        return _read_record_at(self._data, self.path)
+        """Read one ``(tid, items)`` record at the data file's offset."""
+        offset = self._data.tell()
+        head = self._data.read(_RECORD_HEAD.size)
+        if len(head) < _RECORD_HEAD.size:
+            raise CorruptFileError(
+                f"{self.path}: record header truncated at offset {offset} "
+                f"({len(head)} of {_RECORD_HEAD.size} bytes)",
+                path=self.path, offset=offset,
+            )
+        tid, n_items = _RECORD_HEAD.unpack(head)
+        body = self._data.read(4 * n_items)
+        if len(body) < 4 * n_items:
+            raise CorruptFileError(
+                f"{self.path}: record body truncated at offset "
+                f"{offset + _RECORD_HEAD.size} "
+                f"({len(body)} of {4 * n_items} bytes)",
+                path=self.path, offset=offset + _RECORD_HEAD.size,
+            )
+        items = tuple(int(i) for i in np.frombuffer(body, dtype="<u4"))
+        return tid, items
 
     def scan(self):
         """Yield ``(position, tid, items)`` sequentially."""
@@ -426,89 +422,6 @@ class TransactionFileReader:
         self._data.close()
 
     def __enter__(self) -> "TransactionFileReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class TransactionTailReader:
-    """Incremental reader over a *growing* transaction file pair.
-
-    :class:`TransactionFileReader` snapshots the positional index at
-    open time; replication instead needs to keep reading records that a
-    live :class:`TransactionFileWriter` appends to the same pair.  This
-    reader holds both files open and :meth:`refresh` picks up any newly
-    *complete* index entries (a torn trailing offset — fewer than 8
-    bytes — is left for the next refresh, so concurrent appends are
-    never misread).  Only records whose offsets the index already
-    carries are served: the writer appends data before index, so every
-    indexed record is complete in the data file.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self._index_path = index_path(path)
-        with ExitStack() as opened:  # closes both files on a refusal
-            try:
-                self._data = opened.enter_context(open(self.path, "rb"))
-                self._index = opened.enter_context(open(self._index_path, "rb"))
-            except OSError as exc:
-                raise StorageError(
-                    f"cannot open transaction file {path} for tailing: {exc}",
-                    path=path,
-                ) from exc
-            TransactionFileReader._check_head(
-                self._data.read(_FILE_HEAD.size), DATA_MAGIC, self.path
-            )
-            TransactionFileReader._check_head(
-                self._index.read(_FILE_HEAD.size), INDEX_MAGIC, self._index_path
-            )
-            opened.pop_all()
-        self._offsets: list[int] = []
-        self.refresh()
-
-    def __len__(self) -> int:
-        """Records visible so far (as of the last :meth:`refresh`)."""
-        return len(self._offsets)
-
-    def refresh(self) -> int:
-        """Pick up newly appended complete index entries; returns the count."""
-        before = len(self._offsets)
-        while True:
-            mark = self._index.tell()
-            blob = self._index.read(8)
-            if len(blob) < 8:
-                # Torn (in-flight) offset: rewind so the next refresh
-                # re-reads it once the writer finishes the entry.
-                self._index.seek(mark)
-                break
-            self._offsets.append(int(np.frombuffer(blob, dtype="<u8")[0]))
-        return len(self._offsets) - before
-
-    def read_from(
-        self, position: int, limit: int
-    ) -> list[tuple[int, int, tuple[int, ...]]]:
-        """Up to ``limit`` records ``(position, tid, items)`` starting at
-        ``position``, within what the last :meth:`refresh` exposed."""
-        if position < 0:
-            raise StorageError(
-                f"position {position} out of range", path=self.path
-            )
-        out = []
-        end = min(len(self._offsets), position + max(0, int(limit)))
-        for pos in range(position, end):
-            self._data.seek(self._offsets[pos])
-            tid, items = _read_record_at(self._data, self.path)
-            out.append((pos, tid, items))
-        return out
-
-    def close(self) -> None:
-        """Close both file handles."""
-        self._data.close()
-        self._index.close()
-
-    def __enter__(self) -> "TransactionTailReader":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bbs import BBS
+from repro.core.mining import mine
 from repro.data.database import (
     ITEM_BYTES,
     RECORD_OVERHEAD_BYTES,
     TransactionDatabase,
 )
 from repro.errors import ConfigurationError, QueryError
+from tests.conftest import make_random_database
 
 
 class TestAppend:
@@ -149,6 +152,55 @@ class TestResetIO:
         db.reset_io()
         assert db.stats.page_reads == 0
         assert db.stats.db_scans == 0
+
+
+class TestCopy:
+    def test_appends_to_the_original_leave_the_copy_unchanged(self):
+        db = TransactionDatabase([[1, 2], [2, 3], [1, 3, 4]], page_bytes=64)
+        db.append([5, 1], tid=900)
+        copy = db.copy()
+
+        def view(database):
+            return (
+                len(database), list(database.scan()), database.tids(),
+                database.item_counts(), database.size_bytes,
+            )
+
+        before = view(copy)
+        db.append([1, 5])
+        db.append([6], tid=77)
+        assert view(copy) == before
+        assert copy.tids() == [0, 1, 2, 900]
+        assert copy.page_bytes == 64
+        copy.append([7])
+        assert len(db) == 6
+        assert 7 not in db.item_counts()
+
+    def test_shares_tuples_but_not_accounting(self):
+        db = TransactionDatabase([[1, 2], [3]])
+        db.fetch(0)
+        copy = db.copy()
+        assert all(a is b for a, b in zip(copy, db))
+        assert copy.stats is not db.stats
+        assert copy.stats.probe_fetches == 0
+        copy.fetch(1)
+        assert db.stats.probe_fetches == 1
+        assert copy.stats.cache_misses == 1  # its own, empty buffer pool
+
+    @pytest.mark.parametrize("algorithm", ["dfp", "sfs"])
+    def test_mining_a_copy_equals_mining_a_rebuild(self, algorithm):
+        db = make_random_database(seed=41, n_transactions=300, n_items=30)
+        results = []
+        for snapshot in (db.copy(), TransactionDatabase(iter(db))):
+            bbs = BBS.from_database(db, m=48)
+            results.append(mine(snapshot, bbs, 12, algorithm))
+        copied, rebuilt = results
+        assert rebuilt.refine_stats.false_drops or rebuilt.io.db_scans
+        assert list(copied.patterns.items()) == list(rebuilt.patterns.items())
+        assert copied.n_transactions == rebuilt.n_transactions
+        assert copied.filter_stats == rebuilt.filter_stats
+        assert copied.refine_stats == rebuilt.refine_stats
+        assert copied.io == rebuilt.io
 
 
 class TestValidation:

@@ -15,6 +15,8 @@ import warnings
 
 import pytest
 
+from repro.core.bbs import BBS
+from repro.data.database import TransactionDatabase
 from repro.data.diskdb import DiskDatabase
 from repro.errors import (
     CorruptFileError,
@@ -166,6 +168,27 @@ class TestVersion1Compatibility:
         assert recovered.n_transactions == 0  # the only segment was torn
         recovered.close()
         assert inspect_index(idx).status == CLEAN
+
+    def test_appending_to_a_v1_log_rewrites_it_as_v2(self, tmp_path):
+        idx = tmp_path / "old.bbsd"
+        build_index(idx)
+        self.downgrade_to_v1(idx)
+        appended = PENDING[:2]
+        store = DiskBBS.open(idx)
+        for tx in appended:
+            store.insert(tx)
+        store.close()  # the first flush into the v1 log
+        report = inspect_index(idx)
+        assert report.status == CLEAN
+        assert report.format_version == 2
+        assert report.committed_transactions == len(COMMITTED) + len(appended)
+        with DiskBBS.open(idx) as store:
+            assert store.n_segments == 1
+            fresh = BBS.from_database(
+                TransactionDatabase(COMMITTED + appended), m=store.m, k=store.k
+            )
+            for items in (["a"], ["a", "b"], ["b", "c"], ["d"], ["a", "d"]):
+                assert store.count_itemset(items) == fresh.count_itemset(items)
 
 
 class TestFlushErrorHandling:

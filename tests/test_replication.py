@@ -1,12 +1,11 @@
 """Replication unit and in-process tests.
 
 Covers the snapshot manifest layer (build/verify/assemble), the
-tail-reading journal surface (:class:`TransactionTailReader`,
-:class:`ReplicationLog`), the server-side ``replicate`` /``snapshot``/
-``snapshot_fetch``/``promote`` ops, follower apply semantics
-(position + token dedupe, gap detection), bootstrap against a live
-in-process primary, promotion, and the supervisor's standby-failover
-hook.  The full kill -9 subprocess drill lives in
+journal write surface (:class:`ReplicationLog`), the server-side
+``replicate``/``snapshot``/``snapshot_fetch``/``promote`` ops,
+follower apply semantics (position + token dedupe, gap detection),
+bootstrap against a live in-process primary, promotion, and the
+supervisor's standby-failover hook.  The full kill -9 subprocess drill lives in
 tests/test_resilience.py (TestFailoverExactlyOnce) and the CI
 ``failover`` job's ``service_smoke.py --failover``.
 """
@@ -47,11 +46,7 @@ from repro.storage.snapshot import (
     build_manifest,
     verify_span,
 )
-from repro.storage.txfile import (
-    TransactionFileReader,
-    TransactionFileWriter,
-    TransactionTailReader,
-)
+from repro.storage.txfile import TransactionFileReader, TransactionFileWriter
 from tests.conftest import make_random_database
 
 
@@ -75,7 +70,7 @@ class TestParseAddress:
 
 
 # --------------------------------------------------------------------------
-# TransactionTailReader / ReplicationLog
+# ReplicationLog
 # --------------------------------------------------------------------------
 
 
@@ -87,39 +82,13 @@ def write_journal(path, transactions, *, tids=None):
         writer.sync()
 
 
-class TestTransactionTailReader:
-    def test_reads_existing_records(self, tmp_path):
-        path = tmp_path / "tail.tx"
-        write_journal(path, [[1, 2], [3], [4, 5, 6]])
-        with TransactionTailReader(path) as reader:
-            assert len(reader) == 3
-            records = reader.read_from(0, 10)
-            assert [items for _, _, items in records] == [
-                (1, 2), (3,), (4, 5, 6)
-            ]
-            assert [pos for pos, _, _ in records] == [0, 1, 2]
-
-    def test_refresh_sees_live_appends(self, tmp_path):
-        path = tmp_path / "tail.tx"
-        write_journal(path, [[1]])
-        writer = TransactionFileWriter(path, truncate=False)
-        try:
-            with TransactionTailReader(path) as reader:
-                assert len(reader) == 1
-                writer.append([7, 8])
-                writer.sync()
-                assert reader.refresh() == 1
-                records = reader.read_from(1, 5)
-                assert records[0][2] == (7, 8)
-        finally:
-            writer.close()
-
-    def test_negative_position_is_typed(self, tmp_path):
-        path = tmp_path / "tail.tx"
-        write_journal(path, [[1]])
-        with TransactionTailReader(path) as reader:
-            with pytest.raises(StorageError):
-                reader.read_from(-1, 1)
+def journal_records(path):
+    """Every record of a journal file as ``replicate`` sends it."""
+    with TransactionFileReader(path) as reader:
+        return [
+            [position, tid, list(items)]
+            for position, tid, items in reader.scan()
+        ]
 
 
 class TestReplicationLog:
@@ -128,14 +97,12 @@ class TestReplicationLog:
         with ReplicationLog.open(path, truncate=True) as log:
             log.append([1, 2], tid=5)
             log.sync()
-            assert log.read_from(0, 10) == [(0, 5, (1, 2))]
+            assert journal_records(path) == [[0, 5, [1, 2]]]
             log.append([3], tid=TOKEN_MIN + 9)
             log.sync()
-            records = log.read_from(0, 10)
-            assert len(records) == 2
-            assert records[1] == (1, TOKEN_MIN + 9, (3,))
-            assert log.tid_at(1) == TOKEN_MIN + 9
-            assert log.tid_at(99) is None
+            assert journal_records(path) == [
+                [0, 5, [1, 2]], [1, TOKEN_MIN + 9, [3]]
+            ]
 
     def test_salvage_reopens_for_append(self, tmp_path):
         path = tmp_path / "log.tx"
@@ -146,7 +113,7 @@ class TestReplicationLog:
             assert report.records_kept == 2
             log.append([3])
             log.sync()
-            assert len(log.read_from(0, 10)) == 3
+            assert len(journal_records(path)) == 3
         finally:
             log.close()
 
@@ -315,6 +282,19 @@ class TestReplicateOp:
                 {"from_position": 10, "max_records": 4096},
             )
             assert len(rest["records"]) == len(db) - 10
+            # Untokened and tokened appends are served exactly as the
+            # journal file holds them: position, tid and items.
+            run_op(service, "append", {"items": [9, 3]})
+            run_op(service, "append", {"items": [4, 2], "token": TOKEN_MIN + 7})
+            run_op(service, "append", {"items": [5], "token": TOKEN_MIN + 8})
+            served = run_op(
+                service, "replicate", {"from_position": 0, "max_records": 4096}
+            )
+            assert served["records"] == journal_records(db_path)
+            assert served["records"][-2:] == [
+                [len(db) - 2, TOKEN_MIN + 7, [2, 4]],
+                [len(db) - 1, TOKEN_MIN + 8, [5]],
+            ]
         finally:
             service.close()
 
@@ -374,6 +354,22 @@ class TestSnapshotOps:
             manifest = SnapshotManifest.from_dict(payload)
             assert manifest.covered_transactions == len(db)
             assert manifest.high_water_tid is not None
+        finally:
+            service.close()
+
+    def test_high_water_tid_is_the_journal_tid_of_the_last_sealed_record(
+        self, tmp_path
+    ):
+        db_path, idx_path, db, service = make_primary(tmp_path)
+        try:
+            run_op(service, "append", {"items": [1, 2], "token": TOKEN_MIN + 3})
+            manifest = SnapshotManifest.from_dict(run_op(service, "snapshot"))
+            covered = manifest.covered_transactions
+            assert covered == service.index.sealed_transactions == len(db)
+            assert manifest.high_water_tid == TOKEN_MIN + 3
+            assert manifest.high_water_tid == journal_records(db_path)[
+                covered - 1
+            ][1]
         finally:
             service.close()
 
@@ -551,6 +547,11 @@ class TestPromotion:
             )
             assert replay["deduped"] is True
             assert replay["position"] == 1
+            # The promoted primary serves the applied record and the
+            # adopted one exactly as its journal file holds them.
+            served = run_op(service, "replicate", {"from_position": 0})
+            assert served["records"] == journal_records(db_path)
+            assert served["records"] == [[0, 0, [1, 2]], [1, token, [7, 8]]]
         finally:
             service.close()
 
