@@ -566,8 +566,11 @@ def sharded(n_shards: int, chaos_seed: int) -> None:
         fail("--sharded needs at least 2 shards")
     with tempfile.TemporaryDirectory(prefix="repro-sharded-") as tmp:
         workdir = Path(tmp)
+        # At this width each shard's local dfp result holds bounded
+        # (exact: false) counts, so the routed dfp mine below recounts
+        # some candidates and reuses the rest.
         transactions, shard_paths, m = build_sharded_fixture(
-            workdir, n_shards)
+            workdir, n_shards, m=128)
         map_path = str(workdir / "shards.json")
         shards: list[subprocess.Popen] = []
         router = None
@@ -622,23 +625,32 @@ def sharded(n_shards: int, chaos_seed: int) -> None:
                              f"!= ground truth {want_exact}")
                 print("  counts: merged answers identical to one node")
 
-                job_id = client.mine(0.2, algorithm="sfp")
-                done = client.wait_for_job(job_id, timeout=300, top=0)
-                merged = done["result"]
                 expected = _serialise_result(
                     mine_fn(full_db, single, 0.2, "sfp"))
-                got_patterns = [(tuple(p["items"]), p["count"])
-                                for p in merged["patterns"]]
                 want_patterns = [(tuple(p["items"]), p["count"])
                                  for p in expected["patterns"]]
-                if got_patterns != want_patterns:
-                    fail(f"sharded mine produced {len(got_patterns)} "
-                         f"pattern(s) != single node's "
-                         f"{len(want_patterns)} (or ordering differs)")
-                if merged["min_support"] != expected["min_support"]:
-                    fail("merged mine resolved a different threshold")
-                print(f"  mine: {len(got_patterns)} pattern(s) identical "
-                      f"to one node, every count exact")
+                # sfp's local results carry only exact counts; dfp's mix
+                # exact and bounded ones, so phase 2 both reuses and
+                # recounts.  Either way the answer is one node's exact one.
+                for algorithm in ("sfp", "dfp"):
+                    job_id = client.mine(0.2, algorithm=algorithm)
+                    done = client.wait_for_job(job_id, timeout=300, top=0)
+                    merged = done["result"]
+                    got_patterns = [(tuple(p["items"]), p["count"])
+                                    for p in merged["patterns"]]
+                    if got_patterns != want_patterns:
+                        fail(f"sharded {algorithm} mine produced "
+                             f"{len(got_patterns)} pattern(s) != single "
+                             f"node's {len(want_patterns)} (or counts or "
+                             f"ordering differ)")
+                    if not all(p["exact"] for p in merged["patterns"]):
+                        fail(f"sharded {algorithm} mine served a count "
+                             f"that is not exact")
+                    if merged["min_support"] != expected["min_support"]:
+                        fail("merged mine resolved a different threshold")
+                    print(f"  mine {algorithm}: {len(got_patterns)} "
+                          f"pattern(s) identical to one node, every count "
+                          f"exact")
 
                 token = TOKEN_MIN + 7700
                 appended = client.append([7700], token=token)

@@ -318,10 +318,11 @@ class OpService:
     """The op plumbing a node and a router share.
 
     ``handle`` (op lookup and per-op :class:`RequestStats`), the
-    :class:`JobRegistry`, and the ``cancel`` and ``shutdown`` ops.
-    Subclasses define ``_OPS`` (op name to handler) and ``_stop_job``,
-    and bind ``handle = OpService.handle`` on themselves: perfbench's
-    span tracer wraps each serving class's own ``handle``.
+    :class:`JobRegistry`, parked long-polls, and the ``cancel`` and
+    ``shutdown`` ops.  Subclasses define ``_OPS`` (op name to handler)
+    and ``_stop_job``, and bind ``handle = OpService.handle`` on
+    themselves: perfbench's span tracer wraps each serving class's own
+    ``handle``.
     """
 
     _OPS: dict
@@ -330,6 +331,9 @@ class OpService:
         self.stats = RequestStats()
         self.request_counts = self.stats.counts
         self._jobs = JobRegistry(job_prefix, self._stop_job)
+        #: One future per parked long-poll, resolved by a drain.
+        self._parked: set[asyncio.Future] = set()
+        self._draining = False
         #: Set by the server (PatternServer.__init__): the
         #: :class:`AdmissionController` guarding this service's front
         #: door.  ``None`` when the service runs without a server (tests).
@@ -364,6 +368,14 @@ class OpService:
                 error_type=ERR_BAD_REQUEST,
             )
         return handler
+
+    def end_long_polls(self) -> None:
+        """Answer every parked long-poll now, and park no new one.
+
+        The server's drain calls this, so a drain waits for no poll.
+        """
+        self._draining = True
+        _resolve_all(self._parked)
 
     async def _op_cancel(self, args: dict) -> dict:
         return self._jobs.cancel(args)
@@ -456,9 +468,6 @@ class PatternService(OpService):
         #: Set by the server when a replication tailer is attached, so
         #: the ``promote`` op can stop it before flipping the role.
         self.stop_tailer_callback = None
-        #: Lazily-created signal for ``replicate`` long-polls; set after
-        #: every successful append so tailing followers wake promptly.
-        self._append_event: asyncio.Event | None = None
 
     # -- dispatch ----------------------------------------------------------
 
@@ -694,8 +703,8 @@ class PatternService(OpService):
             self.index.insert(key)
         if tid >= TOKEN_MIN:
             self.idempotency.record(tid, position)
-        if self._append_event is not None:
-            self._append_event.set()
+        # A tailing follower's parked ``replicate`` wakes at once.
+        _resolve_all(self._parked)
 
     # -- recovery ------------------------------------------------------------
 
@@ -809,24 +818,20 @@ class PatternService(OpService):
         return True
 
     async def _wait_for_growth(self, baseline: int, wait_s: float) -> None:
-        """Long-poll helper: wait for an append beyond ``baseline``."""
-        if self._append_event is None:
-            self._append_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + wait_s
-        while len(self.database) <= baseline:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                return
-            # No await between this clear and the wait, so an append
-            # landing in between cannot be missed (single-loop model).
-            self._append_event.clear()
-            try:
-                await asyncio.wait_for(
-                    self._append_event.wait(), timeout=remaining
-                )
-            except asyncio.TimeoutError:
-                return
+        """Long-poll helper: wait for an append beyond ``baseline``.
+
+        The next apply or a drain ends the wait early.
+        """
+        if len(self.database) > baseline or self._draining:
+            return
+        # No await between the check and the park, so an append landing
+        # in between cannot be missed (single-loop model).
+        woken = asyncio.get_running_loop().create_future()
+        self._parked.add(woken)
+        try:
+            await asyncio.wait((woken,), timeout=wait_s)
+        finally:
+            self._parked.discard(woken)
 
     def _require_journal(self, op: str) -> None:
         if self.journal is None:
@@ -1316,6 +1321,13 @@ class PatternService(OpService):
         "promote": _op_promote,
         "shutdown": OpService._op_shutdown,
     }
+
+
+def _resolve_all(futures: set) -> None:
+    """Resolve every pending future in ``futures`` (parked polls wake)."""
+    for future in futures:
+        if not future.done():
+            future.set_result(None)
 
 
 def _serialise_result(result, top: int = 0) -> dict:

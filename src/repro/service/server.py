@@ -28,9 +28,10 @@ The contract it adds on top of the handlers:
   to the cached/approximate path; it clears automatically once the
   queues drain and shedding stops.
 * **Graceful drain** — SIGTERM/SIGINT (or the ``shutdown`` op) stops
-  the listener, lets every in-flight request finish and be answered,
-  closes idle connections, and only then resolves
-  :meth:`wait_drained`.  The CLI exits 0 on this path.
+  the listener, lets every in-flight request finish and be answered
+  (a parked long-poll answers at once), closes idle connections, and
+  only then resolves :meth:`wait_drained`.  The CLI exits 0 on this
+  path.
 
 :func:`start_server_thread` runs a server on a background thread with
 its own event loop — the harness used by the test suite and the CI
@@ -521,6 +522,9 @@ class PatternServer:
         if self._draining:
             return
         self._draining = True
+        # Parked ``replicate`` polls answer now, not at their
+        # ``wait_s``, so the drain below waits for none of them.
+        self.service.end_long_polls()
         if self._server is not None:
             self._server.close()
         if self._drain_event is not None:
@@ -760,7 +764,12 @@ class PatternServer:
         finally:
             CURRENT_DEADLINE.reset(token)
             if op_class != "control":
-                admission.release(op_class, time.monotonic() - started)
+                # A long-poll's time is mostly parked, not service time,
+                # so it leaves the class's smoothed service time alone.
+                served = not request.args.get("wait_s")
+                admission.release(
+                    op_class, time.monotonic() - started if served else None
+                )
         return response
 
     # -- blocking entry point ---------------------------------------------------

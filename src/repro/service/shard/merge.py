@@ -22,10 +22,30 @@ of the single-node index.  Three consequences carry the whole design:
   globally frequent at absolute support ``s`` is locally frequent on at
   least one shard — if it missed every local cut, summing
   ``count_i ≤ t_i − 1 < s·n_i/N`` over shards gives ``count < s``.
-  Phase 2 re-counts the union of local candidates *exactly* on every
-  shard and filters at ``s``, so the merged pattern set equals the
-  single-node frequent set and every reported count is the true
+  Phase 2 gives the union of local candidates an *exact* count on
+  every shard and filters at ``s``, so the merged pattern set equals
+  the single-node frequent set and every reported count is the true
   support.
+
+Phase 2 recounts only what phase 1 left open
+--------------------------------------------
+A shard's phase-1 result already holds the exact support of each of
+its patterns marked ``exact: true`` — probed, scanned, or certified
+by CheckCount (Lemma 5) — and ``exact: true`` is never an estimate.
+:func:`plan_recount` reuses those counts and owes a recount only for
+the candidates a shard's result lacks (locally infrequent there) or
+marks ``exact: false`` (a bounded DualFilter estimate).  A true
+support is a true support however it was obtained, so the sums stay
+exact.  What differs is *when* each count is taken: a reused count at
+the shard's job snapshot, a recount when phase 2 asks.  The two agree
+on every shard that took no append in between — always on a sealed
+shard, and on the tail shard when the database is quiescent, which is
+when a routed mine equals the single-node answer.  With appends in
+flight the tail shard's counts may come from two prefixes of its
+range, each count the true support over its prefix; the candidate
+set and ``n_transactions`` already come from different moments in
+that case (the ``status`` fan-out, each local mine, each recount
+batch).
 """
 
 from __future__ import annotations
@@ -79,6 +99,30 @@ def candidate_itemsets(shard_results: list[dict]) -> list[tuple]:
         for pattern in result.get("patterns", []):
             union.add(canonical_itemset(pattern["items"]))
     return sorted(union)
+
+
+def plan_recount(
+    candidates: list[tuple], shard_results: list[dict]
+) -> tuple[list[dict[tuple, int]], list[list[tuple]]]:
+    """Split phase 2 per shard into reused exact counts and recounts.
+
+    Returns ``(exact, owed)``: ``exact[i]`` maps each candidate that
+    shard ``i``'s phase-1 result reports ``exact: true`` to its count,
+    and ``owed[i]`` lists, in candidate order, every other candidate —
+    the ones shard ``i`` must still count exactly.  Adding those
+    counts to ``exact[i]`` gives :func:`sum_exact_counts` its input.
+    """
+    exact: list[dict[tuple, int]] = []
+    owed: list[list[tuple]] = []
+    for result in shard_results:
+        reported = {
+            canonical_itemset(pattern["items"]): pattern["count"]
+            for pattern in result.get("patterns", [])
+            if pattern["exact"]
+        }
+        exact.append(reported)
+        owed.append([key for key in candidates if key not in reported])
+    return exact, owed
 
 
 def sum_exact_counts(
@@ -166,5 +210,6 @@ __all__ = [
     "merge_count_payloads",
     "merged_mine_payload",
     "merged_patterns_payload",
+    "plan_recount",
     "sum_exact_counts",
 ]

@@ -88,6 +88,7 @@ from repro.service.shard.merge import (
     merge_count_payloads,
     merged_mine_payload,
     merged_patterns_payload,
+    plan_recount,
     sum_exact_counts,
 )
 from repro.service.shard.shardmap import ShardEntry, ShardMap
@@ -536,40 +537,48 @@ class ShardRouter(OpService):
     async def _fanout(
         self,
         op: str,
-        args: dict | None = None,
+        args: dict | list[dict | None] | None = None,
         *,
         deadline: float | None = None,
         request_timeout: float | None = None,
-    ) -> list[dict]:
+    ) -> list[dict | None]:
         """Run ``op`` on every shard concurrently; all-or-typed-error.
 
-        Either every shard (or its follower) answered — the results come
-        back in shard order — or the request fails typed: ``partial``
-        naming the uncovered ranges, ``overloaded`` (carrying the
-        largest shard ``retry_after``) when any required shard shed, or
-        the definitive shard error itself.  The merge layers need every
+        ``args`` goes to every shard, or is a list of per-shard
+        arguments in shard order, where ``None`` leaves that shard out
+        (its result stays ``None``).  Either every asked shard (or its
+        follower) answered — the results come back in shard order — or
+        the request fails typed: ``partial`` naming the uncovered
+        ranges, ``overloaded`` (carrying the largest shard
+        ``retry_after``) when any required shard shed, or the
+        definitive shard error itself.  The merge layers need every
         shard's answer, so the first shed or definitive failure cancels
         the still-pending legs promptly instead of letting them burn
         work the caller can no longer use.
         """
-        tasks = [
+        per_shard = (
+            args if isinstance(args, list) else [args or {}] * len(self.shards)
+        )
+        index_of = {
             asyncio.ensure_future(
                 self._shard_request(
                     state,
                     op,
-                    args,
+                    shard_args,
                     deadline=deadline,
                     request_timeout=request_timeout,
                 )
+            ): index
+            for index, (state, shard_args) in enumerate(
+                zip(self.shards, per_shard)
             )
-            for state in self.shards
-        ]
-        index_of = {task: index for index, task in enumerate(tasks)}
-        results: list[dict | None] = [None] * len(tasks)
+            if shard_args is not None
+        }
+        results: list[dict | None] = [None] * len(self.shards)
         failures: list[tuple[int, ShardUnavailableError]] = []
         overload: OverloadedError | None = None
         definitive: tuple[int, BaseException] | None = None
-        pending = set(tasks)
+        pending = set(index_of)
         try:
             while pending and overload is None and definitive is None:
                 done, pending = await asyncio.wait(
@@ -747,15 +756,15 @@ class ShardRouter(OpService):
 
         See :mod:`repro.service.shard.merge` for why the output equals
         the single-node answer: local thresholds preserve completeness,
-        phase-2 exact counting over every shard restores the true
-        global supports.
+        and phase 2 gives every candidate its exact support on every
+        shard, reusing the exact counts phase 1 already reported.
         """
         statuses = await self._fanout("status")
         counts = [status["n_transactions"] for status in statuses]
         total = sum(counts)
         s_abs = resolve_threshold(params["min_support"], total)
 
-        shard_results = await asyncio.gather(
+        polls = await asyncio.gather(
             *(
                 self._mine_on_shard(
                     state,
@@ -765,13 +774,26 @@ class ShardRouter(OpService):
                 for state, count in zip(self.shards, counts)
             )
         )
+        shard_results = [poll["result"] for poll in polls]
         candidates = candidate_itemsets(shard_results)
-        totals = await self._verify_candidates(candidates)
+        # A brownout answer (a cached or approximate mine) was not mined
+        # on this job's snapshot, so none of its counts is reused.
+        exact, owed = plan_recount(
+            candidates,
+            [
+                {} if poll.get("degraded_load") else result
+                for poll, result in zip(polls, shard_results)
+            ],
+        )
+        for shard_exact, recounted in zip(
+            exact, await self._exact_counts(owed)
+        ):
+            shard_exact.update(recounted)
         return merged_mine_payload(
             algorithm=params["algorithm"],
             min_support_abs=s_abs,
             n_transactions=total,
-            totals=totals,
+            totals=sum_exact_counts(candidates, exact),
             elapsed_seconds=0.0,  # stamped by the caller when the job settles
         )
 
@@ -780,9 +802,10 @@ class ShardRouter(OpService):
     ) -> dict:
         """Submit + poll one shard's local mine, failing over whole.
 
-        A shard that dies mid-poll loses its job state, so failover
-        restarts the (deterministic) local mine on the follower rather
-        than resuming — same parameters, same local answer.
+        Returns the final ``job`` poll.  A shard that dies mid-poll
+        loses its job state, so failover restarts the (deterministic)
+        local mine on the follower rather than resuming — same
+        parameters, same local answer.
         """
         mine_args = {
             "min_support": threshold,
@@ -800,7 +823,6 @@ class ShardRouter(OpService):
     async def _mine_via(self, link: ShardLink, mine_args: dict) -> dict:
         submitted = await link.request("mine", mine_args, idempotent=True)
         job_id = submitted["job_id"]
-        interval = JOB_POLL_INTERVAL_S
         while True:
             # A mining shard is CPU-saturated: a poll can take seconds
             # to answer (and the final poll ships the whole local
@@ -815,37 +837,48 @@ class ShardRouter(OpService):
             )
             state = payload["state"]
             if state == "done":
-                return payload["result"]
+                return payload
             if state in ("error", "cancelled"):
                 raise ServiceError(
                     f"shard mine job {job_id} on {link.address} finished as "
                     f"{state}: {payload.get('error', 'no result')}",
                     error_type=ERR_QUERY,
                 )
-            await asyncio.sleep(interval)
-            interval = min(interval * 2, 0.5)
+            await asyncio.sleep(JOB_POLL_INTERVAL_S)
 
-    async def _verify_candidates(
-        self, candidates: list[tuple]
-    ) -> dict[tuple, int]:
-        """Exact global support for every candidate: batched shard sums."""
-        per_shard: list[dict[tuple, int]] = [{} for _ in self.shards]
-        for offset in range(0, len(candidates), VERIFY_BATCH):
-            chunk = candidates[offset : offset + VERIFY_BATCH]
+    async def _exact_counts(
+        self, itemsets: list[list[tuple]]
+    ) -> list[dict[tuple, int]]:
+        """Each shard's exact support for its own list of itemsets.
+
+        Batched rounds of ``count_batch``; a shard whose list is used
+        up sits the remaining rounds out.
+        """
+        counted: list[dict[tuple, int]] = [{} for _ in self.shards]
+        rounds = max(map(len, itemsets), default=0)
+        for offset in range(0, rounds, VERIFY_BATCH):
+            chunks = [
+                keys[offset : offset + VERIFY_BATCH] for keys in itemsets
+            ]
             # Exact verification probes the shard's database for every
-            # candidate; a full batch on a busy shard can legitimately
+            # itemset; a full batch on a busy shard can legitimately
             # take longer than an interactive count, so use the patient
             # mine-phase ceilings here too.
             payloads = await self._fanout(
                 "count_batch",
-                {"itemsets": [list(key) for key in chunk], "exact": True},
+                [
+                    {"itemsets": [list(key) for key in chunk], "exact": True}
+                    if chunk else None
+                    for chunk in chunks
+                ],
                 deadline=MINE_POLL_DEADLINE_S,
                 request_timeout=MINE_POLL_TIMEOUT_S,
             )
-            for shard_index, payload in enumerate(payloads):
-                for key, entry in zip(chunk, payload["results"]):
-                    per_shard[shard_index][key] = entry["exact"]
-        return sum_exact_counts(candidates, per_shard)
+            for counts, chunk, payload in zip(counted, chunks, payloads):
+                if chunk:
+                    for key, entry in zip(chunk, payload["results"]):
+                        counts[key] = entry["exact"]
+        return counted
 
     async def _op_job(self, args: dict) -> dict:
         return self._jobs.poll(
@@ -872,10 +905,10 @@ class ShardRouter(OpService):
         payloads = await self._fanout("patterns", {"top": 0})
         global_threshold = sum(p["min_support"] for p in payloads)
         candidates = candidate_itemsets(payloads)
-        totals = await self._verify_candidates(candidates)
+        per_shard = await self._exact_counts([candidates] * len(self.shards))
         merged = merged_patterns_payload(
             shard_payloads=payloads,
-            totals=totals,
+            totals=sum_exact_counts(candidates, per_shard),
             global_threshold=global_threshold,
         )
         merged["epoch"] = self._router_epoch()

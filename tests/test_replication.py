@@ -13,6 +13,8 @@ tests/test_resilience.py (TestFailoverExactlyOnce) and the CI
 from __future__ import annotations
 
 import asyncio
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -320,6 +322,66 @@ class TestReplicateOp:
             assert payload["records"] == []
         finally:
             service.close()
+
+    def test_append_and_drain_each_answer_a_parked_long_poll(self, tmp_path):
+        db_path, idx_path, db, service = make_primary(tmp_path)
+        replicate = PatternService._OPS["replicate"]
+        caught_up = {"from_position": len(db), "wait_s": 10}
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            parked = asyncio.ensure_future(replicate(service, caught_up))
+            await asyncio.sleep(0.1)
+            assert not parked.done()
+            await PatternService._OPS["append"](service, {"items": [4, 2]})
+            grown = await asyncio.wait_for(parked, 2)
+            parked = asyncio.ensure_future(
+                replicate(service, {**caught_up, "from_position": len(db)})
+            )
+            await asyncio.sleep(0.1)
+            assert not parked.done()
+            started = loop.time()
+            service.end_long_polls()
+            drained = await asyncio.wait_for(parked, 2)
+            return grown, drained, loop.time() - started
+
+        try:
+            grown, drained, elapsed = asyncio.run(scenario())
+            assert [r[2] for r in grown["records"]] == [[2, 4]]
+            assert drained["records"] == []
+            assert elapsed < 1.0
+        finally:
+            service.close()
+
+    def test_a_server_drain_answers_a_parked_poll_at_once(self, tmp_path):
+        db_path, idx_path, db, service = make_primary(tmp_path)
+        handle = start_server_thread(service)
+        client = ServiceClient(handle.host, handle.port, timeout=20)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                parked = pool.submit(client.replicate, len(db), wait_s=10)
+                time.sleep(0.3)  # parked on a caught-up primary
+                started = time.monotonic()
+                handle.request_shutdown()
+                assert parked.result(timeout=5)["records"] == []
+                handle.thread.join(5)
+                assert not handle.thread.is_alive()
+                assert time.monotonic() - started < 1.5
+        finally:
+            client.close()
+
+    def test_a_parked_poll_leaves_the_read_service_time_alone(self, tmp_path):
+        db_path, idx_path, db, service = make_primary(tmp_path)
+        with start_server_thread(service) as handle:
+            read = handle.server.admission._classes["read"]
+            with ServiceClient(handle.host, handle.port) as client:
+                for _ in range(20):
+                    client.count([1, 2])
+                served_s = read.ewma_s
+                polled = client.replicate(len(db), wait_s=0.5)
+        assert polled["records"] == []
+        assert 0 < served_s < 0.1
+        assert read.ewma_s == served_s
 
     def test_validation(self, tmp_path):
         db_path, idx_path, db, service = make_primary(tmp_path)

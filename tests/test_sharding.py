@@ -17,9 +17,12 @@ import json
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bbs import BBS
 from repro.core.incremental import IncrementalMiner
@@ -30,6 +33,8 @@ from repro.errors import (
     PartialResultError,
     ServiceError,
 )
+from repro.service import handlers
+from repro.service.cache import canonical_itemset
 from repro.service.client import ServiceClient
 from repro.service.handlers import PatternService, _serialise_result
 from repro.service.resilience import RetryPolicy, make_token
@@ -39,6 +44,8 @@ from repro.service.shard.merge import (
     local_threshold,
     merge_count_payloads,
     merged_mine_payload,
+    plan_recount,
+    sum_exact_counts,
 )
 from repro.service.shard.router import ShardRouter
 from repro.service.shard.shardmap import ShardEntry, ShardMap, build_map
@@ -307,6 +314,97 @@ class TestMergeSemantics:
         )
         assert union == [(1, 2), (3,)]
 
+    def test_plan_reuses_exact_counts_and_owes_the_rest(self):
+        exact, owed = plan_recount(
+            [(1,), (1, 2), (3,)],
+            [
+                {"patterns": [
+                    {"items": [1], "count": 4, "exact": True},
+                    {"items": [2, 1], "count": 3, "exact": False},
+                ]},
+                {"patterns": [{"items": [3], "count": 2, "exact": True}]},
+            ],
+        )
+        assert exact == [{(1,): 4}, {(3,): 2}]
+        assert owed == [[(1, 2), (3,)], [(1,), (1, 2)]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_planned_phase_two_equals_the_single_node_mine(self, data):
+        # The Partition merge with reused phase-1 counts, run in-process:
+        # local mines, the plan, exact counts for the planned pairs only,
+        # then the router's sum and payload.
+        transactions = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 9), min_size=1, max_size=6),
+                min_size=6,
+                max_size=50,
+            ),
+            label="transactions",
+        )
+        n = len(transactions)
+        n_cuts = data.draw(st.integers(1, 3), label="n_cuts")
+        cuts = sorted(
+            data.draw(
+                st.lists(
+                    st.integers(1, n - 1),
+                    min_size=n_cuts,
+                    max_size=n_cuts,
+                    unique=True,
+                ),
+                label="cuts",
+            )
+        )
+        s_abs = data.draw(st.integers(1, max(1, n // 3)), label="s_abs")
+        algorithm = data.draw(st.sampled_from(["dfp", "sfp"]), label="algo")
+        # A narrow signature makes DualFilter certify bounded counts.
+        m = data.draw(st.sampled_from([16, 64]), label="m")
+        db = TransactionDatabase(transactions)
+
+        def mined(piece, threshold, name):
+            bbs = BBS.from_database(piece, m=m, k=K)
+            return _serialise_result(mine(piece, bbs, threshold, name))
+
+        slices = split_ranges(db, cuts)
+        shard_results = [
+            mined(piece, local_threshold(s_abs, len(piece), n), algorithm)
+            for piece in slices
+        ]
+        candidates = candidate_itemsets(shard_results)
+        exact, owed = plan_recount(candidates, shard_results)
+        for piece, result, shard_exact, keys in zip(
+            slices, shard_results, exact, owed
+        ):
+            reported = {
+                canonical_itemset(p["items"])
+                for p in result["patterns"]
+                if p["exact"]
+            }
+            assert reported.isdisjoint(keys)
+            assert set(shard_exact) | set(keys) == set(candidates)
+            for key in keys:
+                shard_exact[key] = sum(1 for tx in piece if set(key) <= set(tx))
+        merged = merged_mine_payload(
+            algorithm=algorithm,
+            min_support_abs=s_abs,
+            n_transactions=n,
+            totals=sum_exact_counts(candidates, exact),
+            elapsed_seconds=0.0,
+        )
+        single = mined(db, s_abs, algorithm)
+        if algorithm == "sfp":
+            assert canonical(merged) == canonical(single)
+        else:
+            # Single-node dfp may report bounded counts; the merge
+            # serves the exact ones, which is single-node sfp.
+            drop = ("elapsed_seconds", "algorithm")
+            assert canonical(merged, drop) == canonical(
+                mined(db, s_abs, "sfp"), drop
+            )
+            assert sorted(p["items"] for p in merged["patterns"]) == sorted(
+                p["items"] for p in single["patterns"]
+            )
+
 
 # ---------------------------------------------------------------------------
 # Router equivalence: sharded answers == single-node answers
@@ -374,6 +472,84 @@ class TestRouterEquivalence:
                 expected, drop
             )
         finally:
+            cluster.close()
+
+    def test_a_brownout_shard_answer_is_recounted_not_reused(self, db):
+        # A ``degraded_load`` local mine (a cached or approximate
+        # result) was not mined on this job's snapshot: the router
+        # recounts every candidate there, even the ones marked exact.
+        single = BBS.from_database(db, m=M, k=K)
+        expected = _serialise_result(mine(db, single, 6, "sfp"))
+        cluster = Cluster(db, [60, 120])
+        reported: list[tuple] = []
+        recounted: list[tuple] = []
+
+        async def browned_out_job(service, args):
+            payload = await PatternService._OPS["job"](service, args)
+            if payload["state"] == "done":
+                payload["degraded_load"] = True
+                for pattern in payload["result"]["patterns"]:
+                    if pattern["exact"]:
+                        pattern["count"] += 1000  # deliberately wrong
+                        reported.append(canonical_itemset(pattern["items"]))
+            return payload
+
+        async def spied_count_batch(service, args):
+            recounted.extend(map(canonical_itemset, args["itemsets"]))
+            return await PatternService._OPS["count_batch"](service, args)
+
+        cluster.services[-1]._OPS = {
+            **PatternService._OPS,
+            "job": browned_out_job,
+            "count_batch": spied_count_batch,
+        }
+        try:
+            with cluster.client() as client:
+                job_id = client.mine(6, algorithm="sfp")
+                payload = client.wait_for_job(job_id, top=0)
+            assert reported
+            assert set(reported) <= set(recounted)
+            assert canonical(payload["result"]) == canonical(expected)
+        finally:
+            cluster.close()
+
+    def test_routed_count_answers_while_the_shard_mines_run(
+        self, db, monkeypatch
+    ):
+        # The router polls each shard job on the shard's shared link: a
+        # poll that held the link until the job ended would stall this
+        # count for as long as the mines run.
+        gate = threading.Event()
+        real_mine = handlers.mine
+
+        def held(*args, **kwargs):
+            gate.wait(30)
+            return real_mine(*args, **kwargs)
+
+        monkeypatch.setattr(handlers, "mine", held)
+        single = BBS.from_database(db, m=M, k=K)
+        expected = _serialise_result(mine(db, single, 6, "sfp"))
+        cluster = Cluster(db, [90])
+        try:
+            with cluster.client() as client:
+                job_id = client.mine(6, algorithm="sfp")
+                deadline = time.monotonic() + 10
+                while not all(
+                    s._jobs.states().get("running") for s in cluster.services
+                ):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                time.sleep(0.2)  # a few polls of every shard job
+                started = time.monotonic()
+                got = client.count([1, 2], exact=True)
+                elapsed = time.monotonic() - started
+                gate.set()
+                payload = client.wait_for_job(job_id, top=0)
+            assert elapsed < 1.0
+            assert got["exact"] == sum(1 for tx in db if {1, 2} <= set(tx))
+            assert canonical(payload["result"]) == canonical(expected)
+        finally:
+            gate.set()
             cluster.close()
 
     def test_counts_stay_identical_across_a_shard_restart_mid_run(self, db):
